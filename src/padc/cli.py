@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 usage or model misconfiguration, 2 I/O failure,
 import argparse
 import sys
 import time
+from itertools import repeat
 from pathlib import Path
 
 from .codec import Decoder, Encoder, MalformedStreamError
@@ -154,38 +155,34 @@ def _model_from_header(header):
     raise ContainerError(f"unknown model kind {kind!r}")
 
 
-def _encode_bytes(data, model, ar, flush, params):
+def _encode_container(data, params, args, freq_file=None):
+    """Encode a byte message with the coding flags of args; returns the
+    container bytes."""
+    ar = not args.no_ar
+    model, alphabet_size, descriptor = _build_encode_model(
+        args.model, data, params, freq_file
+    )
     writer = DigitWriter(params)
     enc = Encoder(model, ar=ar)
-    if model.kind == "unary":
-        for _ in range(len(data)):
-            writer.push_digits(enc.step(0))
-    else:
-        for b in data:
-            writer.push_digits(enc.step(b))
-    writer.push_digits(enc.finish(flush=flush))
-    return writer
+    enc.run(repeat(0, len(data)) if model.kind == "unary" else data, writer)
+    writer.push_digits(enc.finish(flush=args.flush))
+    header = ContainerHeader(
+        params=params,
+        ar=ar,
+        flush=args.flush,
+        model_kind=args.model,
+        alphabet_size=alphabet_size,
+        model_data=descriptor,
+        digit_count=writer.digit_count,
+    )
+    return write_container(header, writer.to_bytes())
 
 
 def _decode_bytes(header, reader):
     model = _model_from_header(header)
-    dec = Decoder(reader, model, ar=header.ar)
-    out = bytearray()
+    out = Decoder(reader, model, ar=header.ar).run(bytearray())
     if model.kind == "unary":
-        while True:
-            s = dec.next_symbol()
-            if s == model.eom:
-                break
-            out.append(header.model_data)
-    elif model.eom is not None:
-        while True:
-            s = dec.next_symbol()
-            if s == model.eom:
-                break
-            out.append(s)
-    else:
-        while dec.payload_consumed < reader.declared_count:
-            out.append(dec.next_symbol())
+        return bytes([header.model_data]) * len(out)
     return bytes(out)
 
 
@@ -196,22 +193,9 @@ def cmd_encode(args):
     except OSError as e:
         raise CliError(f"cannot read input: {e}", EXIT_IO) from None
     try:
-        model, alphabet_size, descriptor = _build_encode_model(
-            args.model, data, params, args.freq_file
-        )
-        writer = _encode_bytes(data, model, not args.no_ar, args.flush, params)
+        blob = _encode_container(data, params, args, args.freq_file)
     except ValueError as e:
         raise CliError(f"model misconfiguration: {e}", EXIT_USAGE) from None
-    header = ContainerHeader(
-        params=params,
-        ar=not args.no_ar,
-        flush=args.flush,
-        model_kind=args.model,
-        alphabet_size=alphabet_size,
-        model_data=descriptor,
-        digit_count=writer.digit_count,
-    )
-    blob = write_container(header, writer.to_bytes())
     try:
         Path(args.output).write_bytes(blob)
     except OSError as e:
@@ -273,20 +257,7 @@ def cmd_bench(args):
         try:
             data = path.read_bytes()
             start = time.perf_counter()
-            model, alphabet_size, descriptor = _build_encode_model(
-                args.model, data, params, None
-            )
-            writer = _encode_bytes(data, model, not args.no_ar, args.flush, params)
-            header = ContainerHeader(
-                params=params,
-                ar=not args.no_ar,
-                flush=args.flush,
-                model_kind=args.model,
-                alphabet_size=alphabet_size,
-                model_data=descriptor,
-                digit_count=writer.digit_count,
-            )
-            blob = write_container(header, writer.to_bytes())
+            blob = _encode_container(data, params, args)
             elapsed = time.perf_counter() - start
         except (OSError, ValueError) as e:
             print(f"{path.name},,,,,failed: {e}", file=sys.stderr)

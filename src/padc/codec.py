@@ -20,9 +20,22 @@ the width floor; the decoder resolves the same choice from its window.
 This narrowing step is also the only escape route when straddle
 renormalization is disabled (ar=False).
 
+The module functions renorm_prefix, straddle_check, straddle_fold and
+straddle_flush are the reference transitions.  Encoder.run and
+Decoder.run (step() and next_symbol() are one-symbol runs) keep the
+state in local variables over a whole message, do prefix renorm and
+folds as inline integer arithmetic, and apply a run of k folds as one
+index operation.  The encoder resolves straddle exits and the valve's
+prefix through the reference functions, so tools that wrap those names
+still see those rarer events.  P=2 digits are written as the bits of
+one integer and read back with one byte slice per window refill.
+
 A coding session (state, model, stream) is single-owner; sessions over
 distinct states are independent.
 """
+
+from bisect import bisect_right
+from itertools import repeat
 
 from .core import (
     GridParams,
@@ -35,7 +48,10 @@ from .core import (
     to_path,
     trimmed_len,
 )
-from .digitio import DigitReader
+from .digitio import DigitReader, DigitWriter
+
+# Emitted P=2 digits are pushed to the writer once this many pile up.
+_PUSH_BITS = 512
 
 
 class MalformedStreamError(ValueError):
@@ -168,10 +184,12 @@ def straddle_flush(state: CoderState):
 
 
 class Encoder:
-    """Streaming encoder: feed symbols with step(), then finish().
+    """Streaming encoder: feed symbols with step() or run(), then finish().
 
-    Emitted digits are returned from each call in stream order.  The
-    model's end marker (model.eom) is coded by finish(), not step().
+    The model's end marker (model.eom) is coded by finish(), not step().
+    The counters prefix_digits, flushes, flush_digits, folds and valves
+    record the rescaling work done so far (flushes include the one
+    finish() may resolve).
     """
 
     def __init__(self, model, *, ar: bool = True):
@@ -184,54 +202,133 @@ class Encoder:
         self.ar = ar
         self.floor = width_floor(self.params)
         self.finished = False
+        self.prefix_digits = 0
+        self.flushes = 0
+        self.flush_digits = 0
+        self.folds = 0
+        self.valves = 0
 
     def step(self, symbol):
-        if self.finished:
-            raise ValueError("encoder already finished")
-        if self.model.eom is not None and symbol == self.model.eom:
-            raise ValueError("end marker is coded by finish()")
-        st = self.state
-        st.l, st.r = self.model.code(symbol, st.l, st.r)
-        out = self._rescale()
+        """Code one symbol; returns the digits it emitted."""
+        writer = DigitWriter(self.params)
+        self.run((symbol,), writer)
         self._check_floor()
-        return out
+        return writer.digits()
 
     def _check_floor(self):
         w = interval_width(self.state.l, self.state.r, self.params)
         if w < self.floor:
             raise AssertionError(f"width floor violated: {w} < {self.floor}")
 
-    def _rescale(self):
+    def run(self, symbols, writer: DigitWriter):
+        """Code every symbol of an iterable, pushing the emitted digits to
+        writer."""
+        if self.finished:
+            raise ValueError("encoder already finished")
+        code, eom = self.model.code, self.model.eom
+        P, N, size, pw = self.params.P, self.params.N, self.params.size, self.params.powers
+        top = pw[N - 1]
+        rpw = pw[N - 1 :: -1]
+        floor, ar, binary = self.floor, self.ar, P == 2
         st = self.state
-        params = self.params
-        out = []
-        if st.pending:
-            flushed = straddle_flush(st)
-            if flushed is not None:
-                out.extend(flushed)
-        if st.pending == 0:
-            out.extend(renorm_prefix(st))
-        if self.ar:
-            while straddle_check(st.l, st.r, params):
-                straddle_fold(st)
-        top = params.powers[params.N - 1]
-        while st.pending == 0 and interval_width(st.l, st.r, params) < self.floor:
-            # Interval shrank onto a level-1 boundary with no fold to
-            # expand it: keep the wider side so prefix renorm can fire.
-            # With folds enabled this valve never triggers (the fold and
-            # exit conditions already keep the width above the floor);
-            # it is the only escape route when ar is off.
-            boundary = (st.l // top + 1) * top
-            right_edge = st.r if st.r else params.size
-            if boundary - st.l >= right_edge - boundary:
-                st.r = boundary
+        l, r, pivot, pending = st.l, st.r, st.pivot, st.pending
+        acc = nacc = 0  # P=2: digits not yet pushed, as the nacc bits of acc
+        out = []  # P>2: digits not yet pushed
+        n_prefix = n_flush = n_flush_digits = n_fold = n_valve = 0
+        try:
+            for s in symbols:
+                if s == eom:
+                    raise ValueError("end marker is coded by finish()")
+                l, r = code(s, l, r)
+                if pending:
+                    # Straddle exits and the valve's prefix go through the
+                    # reference functions (see the module docstring).
+                    st.l, st.r, st.pivot, st.pending = l, r, pivot, pending
+                    flushed = straddle_flush(st)
+                    if flushed is not None:
+                        n_flush += 1
+                        n_flush_digits += pending + 1
+                        if binary:
+                            # pivot, then pending copies of 0 or 1
+                            acc = (acc << (pending + 1)) | (
+                                (pivot << pending) - (flushed[0] < pivot)
+                            )
+                            nacc += pending + 1
+                        else:
+                            out += flushed
+                        l, r, pivot, pending = st.l, st.r, 0, 0
+                while True:
+                    if not pending:
+                        r1 = (r - 1) % size
+                        if binary:
+                            n = N - (l ^ r1).bit_length()
+                        else:
+                            n = 0
+                            while n < N and l // rpw[n] == r1 // rpw[n]:
+                                n += 1
+                        if n:
+                            if binary:
+                                acc = (acc << n) | (l >> (N - n))
+                                nacc += n
+                            else:
+                                out += [l // d % P for d in rpw[:n]]
+                            n_prefix += n
+                            q, u = pw[N - n], pw[n]
+                            l = (l % q) * u
+                            r = (r % q) * u
+                    if ar:
+                        tl, tr = l // top, r // top
+                        if tr - tl == 1:
+                            # k folds at once: the shorter of the runs of P-1
+                            # digits in l and of 0 digits in r under the top.
+                            k = N - 1 - bisect_right(pw, max(top - 1 - l % top, r % top))
+                            if k:
+                                if not pivot:
+                                    pivot = tr
+                                pending += k
+                                n_fold += k
+                                q, u = pw[N - 1 - k], pw[k]
+                                l = tl * top + (l % q) * u
+                                r = tr * top + (r % q) * u
+                    w = (r - l) % size or size
+                    if pending or w >= floor:
+                        break
+                    # Narrowing valve: the interval shrank onto a level-1
+                    # boundary with no fold to expand it; keep the wider
+                    # side so prefix renorm can fire.  With folds enabled
+                    # it never fires; it is the only escape when ar is off.
+                    n_valve += 1
+                    boundary = (l // top + 1) * top
+                    if boundary - l >= (r or size) - boundary:
+                        r = boundary
+                    else:
+                        l = boundary
+                    st.l, st.r, st.pending = l, r, 0
+                    valve_digits = renorm_prefix(st)
+                    n = len(valve_digits)
+                    n_prefix += n
+                    if binary:
+                        acc = (acc << n) | (l >> (N - n))
+                        nacc += n
+                    else:
+                        out += valve_digits
+                    l, r = st.l, st.r
+                if w < floor:
+                    raise AssertionError(f"width floor violated: {w} < {floor}")
+                if nacc > _PUSH_BITS:
+                    writer.push_bits(acc, nacc)
+                    acc = nacc = 0
+        finally:
+            st.l, st.r, st.pivot, st.pending = l, r, pivot, pending
+            if binary:
+                writer.push_bits(acc, nacc)
             else:
-                st.l = boundary
-            out.extend(renorm_prefix(st))
-            if self.ar:
-                while straddle_check(st.l, st.r, params):
-                    straddle_fold(st)
-        return out
+                writer.push_digits(out)
+            self.prefix_digits += n_prefix
+            self.flushes += n_flush
+            self.flush_digits += n_flush_digits
+            self.folds += n_fold
+            self.valves += n_valve
 
     def finish(self, flush: str = "min"):
         """Code the end marker and flush the final point.
@@ -260,6 +357,8 @@ class Encoder:
                 flushed = straddle_flush(st)
                 if flushed is not None:
                     out.extend(flushed)
+                    self.flushes += 1
+                    self.flush_digits += len(flushed)
             if st.pending == 0:
                 q = st.l if flush == "left" else shortest_path_point(
                     st.l, st.r, self.params
@@ -275,45 +374,15 @@ class Encoder:
         return out
 
 
-class CodeWindow:
-    """Length-N lookahead over the digit stream, in path order, tracked
-    as its index value; digits past the stream end read as zero."""
-
-    def __init__(self, reader: DigitReader, params: GridParams, budget):
-        self.reader = reader
-        self.params = params
-        self._budget = budget
-        self.g = self._pull(params.N)
-
-    def _pull(self, n: int) -> int:
-        if self.reader.consumed + n > self._budget():
-            raise MalformedStreamError(
-                "digit stream exhausted before the message ended"
-            )
-        v = 0
-        for _ in range(n):
-            v = v * self.params.P + self.reader.get_digit()
-        return v
-
-    def shift(self, n: int):
-        """Drop the first n window digits, refill at the back."""
-        params = self.params
-        keep = self.g % params.powers[params.N - n]
-        self.g = keep * params.powers[n] + self._pull(n)
-
-    def fold(self):
-        """Mirror a straddle fold: cut window digit 1, refill one."""
-        self.g = squeeze_second_digit(self.g, self.params) + self._pull(1)
-
-
 class Decoder:
     """Streaming decoder over a DigitReader.
 
     Mirrors the encoder's state transitions exactly, so at every symbol
-    boundary (l, r, pivot, pending) match the encoder's.  A stream that
-    needs more digits than the declared count plus the window and any
-    pending folds can supply is reported as malformed rather than
-    silently truncated.
+    boundary (l, r, pivot, pending) match the encoder's.  The window g
+    holds the next N stream digits in path order as an index value.  A
+    stream that needs more digits than the declared count plus the
+    window and any pending folds can supply is reported as malformed
+    rather than silently truncated.
     """
 
     def __init__(self, reader: DigitReader, model, *, ar: bool = True):
@@ -328,90 +397,128 @@ class Decoder:
         self.ar = ar
         self.floor = width_floor(self.params)
         self.reader = reader
-        self.window = CodeWindow(reader, self.params, self._read_budget)
         self.done = False
-
-    def _read_budget(self) -> int:
-        # Every read beyond the declared digits plus the initial window
-        # is backed by a pending fold the encoder resolves (or trims) later.
-        return self.reader.declared_count + self.params.N + self.state.pending
-
-    @property
-    def payload_consumed(self) -> int:
-        """Stream digits consumed beyond the initial window fill."""
-        return self.reader.consumed - self.params.N
+        if reader.consumed > reader.declared_count:
+            raise _exhausted()
+        self.g = reader.value(reader.consumed, self.params.N)
+        reader.consumed += self.params.N
 
     def next_symbol(self):
+        out = self.run([], limit=1)
+        return out[0] if out else self.model.eom
+
+    def run(self, out=None, limit=None):
+        """Decode up to limit symbols (default: the rest of the message),
+        appending them, the end marker excluded, to out (a new list by
+        default); returns out.
+
+        The window is shifted like the interval edges, with zeros filled
+        in; the m stream digits it is owed are added in one read before
+        its value is next used.  That is exact: both edges then end in m
+        zero digits, which no later shift or fold of the symbol reaches
+        past, so none reaches past them on the window either."""
+        out = [] if out is None else out
         if self.done:
             raise ValueError("decoder already finished")
+        decode, eom = self.model.decode, self.model.eom
+        P, N, size, pw = self.params.P, self.params.N, self.params.size, self.params.powers
+        top = pw[N - 1]
+        rpw = pw[N - 1 :: -1]
+        floor, ar, binary = self.floor, self.ar, P == 2
+        reader = self.reader
+        value = reader.value
+        # Every read beyond the declared digits plus the initial window
+        # is backed by a pending fold the encoder resolves (or trims) later.
+        budget = reader.declared_count + N
+        until_end = limit is None and eom is None  # delimited by digit count
+        append = out.append
         st = self.state
-        st.l, st.r, symbol = self.model.decode(self.window.g, st.l, st.r)
-        if self.model.eom is not None and symbol == self.model.eom:
-            self.done = True
-            return symbol
-        self._rescale()
-        w = interval_width(st.l, st.r, self.params)
-        if w < self.floor:
-            raise AssertionError(f"width floor violated: {w} < {self.floor}")
-        return symbol
+        l, r, pivot, pending = st.l, st.r, st.pivot, st.pending
+        g, c, m = self.g, reader.consumed, 0  # c digits read, m more owed
+        try:
+            for _ in repeat(None) if limit is None else range(limit):
+                if until_end and c >= budget:
+                    break
+                l, r, s = decode(g, l, r)
+                if s == eom:
+                    self.done = True
+                    break
+                if pending:
+                    if l // top >= pivot or r // top < pivot or r == pivot * top:
+                        l = (l % top) * P
+                        r = (r % top) * P
+                        g = (g % top) * P
+                        pivot = pending = 0
+                        if c + 1 > budget:
+                            raise _exhausted()
+                        m = 1
+                while True:
+                    if not pending:
+                        r1 = (r - 1) % size
+                        if binary:
+                            n = N - (l ^ r1).bit_length()
+                        else:
+                            n = 0
+                            while n < N and l // rpw[n] == r1 // rpw[n]:
+                                n += 1
+                        if n:
+                            if c + m + n > budget:
+                                raise _exhausted()
+                            q, u = pw[N - n], pw[n]
+                            l = (l % q) * u
+                            r = (r % q) * u
+                            g = (g % q) * u
+                            m += n
+                    if ar:
+                        tl, tr = l // top, r // top
+                        if tr - tl == 1:
+                            k = N - 1 - bisect_right(pw, max(top - 1 - l % top, r % top))
+                            if k:
+                                if c + m > budget + pending:
+                                    raise _exhausted()
+                                if not pivot:
+                                    pivot = tr
+                                pending += k
+                                q, u = pw[N - 1 - k], pw[k]
+                                l = tl * top + (l % q) * u
+                                r = tr * top + (r % q) * u
+                                g = g // top * top + (g % q) * u
+                                m += k
+                    if m:
+                        g += value(c, m)
+                        c += m
+                        m = 0
+                    w = (r - l) % size or size
+                    if pending or w >= floor:
+                        break
+                    # Mirror of the encoder's narrowing valve; the window
+                    # value identifies the side the encoder kept.
+                    boundary = (l // top + 1) * top
+                    if g < boundary:
+                        r = boundary
+                    else:
+                        l = boundary
+                if w < floor:
+                    raise AssertionError(f"width floor violated: {w} < {floor}")
+                append(s)
+        finally:
+            st.l, st.r, st.pivot, st.pending = l, r, pivot, pending
+            self.g = g
+            reader.consumed = c + m
+        return out
 
-    def _drop_fold_state(self):
-        st = self.state
-        top = self.params.powers[self.params.N - 1]
-        st.l = (st.l % top) * self.params.P
-        st.r = (st.r % top) * self.params.P
-        st.pivot = 0
-        st.pending = 0
-        self.window.shift(1)
 
-    def _rescale(self):
-        st = self.state
-        params = self.params
-        if st.pending:
-            if exits_left(st.pivot, st.l, params) or exits_right(
-                st.pivot, st.r, params
-            ):
-                self._drop_fold_state()
-        if st.pending == 0:
-            n = common_path_len(st.l, st.r, params)
-            if n:
-                st.l = prefix_rescale(st.l, n, params)
-                st.r = prefix_rescale(st.r, n, params)
-                self.window.shift(n)
-        if self.ar:
-            self._fold_loop()
-        top = params.powers[params.N - 1]
-        while st.pending == 0 and interval_width(st.l, st.r, params) < self.floor:
-            # Mirror of the encoder's narrowing valve; the window value
-            # identifies the side the encoder kept.
-            boundary = (st.l // top + 1) * top
-            if self.window.g < boundary:
-                st.r = boundary
-            else:
-                st.l = boundary
-            n = common_path_len(st.l, st.r, params)
-            if n:
-                st.l = prefix_rescale(st.l, n, params)
-                st.r = prefix_rescale(st.r, n, params)
-                self.window.shift(n)
-            if self.ar:
-                self._fold_loop()
-
-    def _fold_loop(self):
-        st = self.state
-        while straddle_check(st.l, st.r, st.params):
-            straddle_fold(st)
-            self.window.fold()
+def _exhausted():
+    return MalformedStreamError("digit stream exhausted before the message ended")
 
 
 def encode(symbols, model, *, ar: bool = True, flush: str = "min"):
     """Encode a symbol sequence; returns the emitted digits as a list."""
     enc = Encoder(model, ar=ar)
-    out = []
-    for s in symbols:
-        out.extend(enc.step(s))
-    out.extend(enc.finish(flush=flush))
-    return out
+    writer = DigitWriter(model.params)
+    enc.run(symbols, writer)
+    writer.push_digits(enc.finish(flush=flush))
+    return writer.digits()
 
 
 def decode(source, model, *, ar: bool = True):
@@ -420,15 +527,4 @@ def decode(source, model, *, ar: bool = True):
         reader = source
     else:
         reader = DigitReader.from_digits(model.params, source)
-    dec = Decoder(reader, model, ar=ar)
-    out = []
-    if model.eom is not None:
-        while True:
-            s = dec.next_symbol()
-            if s == model.eom:
-                break
-            out.append(s)
-    else:
-        while dec.payload_consumed < reader.declared_count:
-            out.append(dec.next_symbol())
-    return out
+    return Decoder(reader, model, ar=ar).run()

@@ -51,6 +51,10 @@ class ContainerError(ValueError):
     """Raised for malformed or unsupported container bytes."""
 
 
+# P=2 digit values -> ASCII "0"/"1", for reading a digit list as a number.
+_TO_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 class DigitWriter:
     def __init__(self, params: GridParams):
         self.params = params
@@ -60,28 +64,43 @@ class DigitWriter:
         self._nbits = 0
 
     def push(self, digit: int):
-        if not 0 <= digit < self.params.P:
-            raise ValueError(f"digit {digit} out of range for P={self.params.P}")
-        self.digit_count += 1
-        if self.params.P == 2:
-            self._acc = (self._acc << 1) | digit
-            self._nbits += 1
-            if self._nbits == 8:
-                self._buf.append(self._acc)
-                self._acc = 0
-                self._nbits = 0
-        else:
-            self._buf.append(digit)
+        self.push_digits((digit,))
+
+    def push_bits(self, value: int, n: int):
+        """Append n binary digits given as the bits of value, first digit
+        most significant (P=2 only)."""
+        if value < 0 or value >> n:
+            raise ValueError(f"value {value} does not fit {n} binary digits")
+        self.digit_count += n
+        acc = (self._acc << n) | value
+        nbits = self._nbits + n
+        keep = nbits & 7
+        if nbits > 7:
+            self._buf += (acc >> keep).to_bytes(nbits >> 3, "big")
+        self._acc = acc & ((1 << keep) - 1)
+        self._nbits = keep
 
     def push_digits(self, digits):
-        for d in digits:
-            self.push(d)
+        digits = bytes(digits)  # ValueError for values outside 0..255
+        if digits and max(digits) >= self.params.P:
+            raise ValueError(f"digit {max(digits)} out of range for P={self.params.P}")
+        if self.params.P == 2:
+            self.push_bits(int(b"0" + digits.translate(_TO_CHARS), 2), len(digits))
+        else:
+            self.digit_count += len(digits)
+            self._buf += digits
 
     def push_repeat(self, digit: int, n: int):
         if not 0 <= digit < self.params.P:
             raise ValueError(f"digit {digit} out of range for P={self.params.P}")
-        for _ in range(n):
-            self.push(digit)
+        self.push_digits(bytes([digit]) * n)
+
+    def digits(self) -> list:
+        """Every digit pushed so far, in order."""
+        if self.params.P > 2:
+            return list(self._buf)
+        v = int.from_bytes(self._buf, "big") << self._nbits | self._acc
+        return list(map(int, format(v | 1 << self.digit_count, "b")[1:]))
 
     def to_bytes(self) -> bytes:
         out = bytes(self._buf)
@@ -94,6 +113,8 @@ class DigitReader:
     """Sequential digit reader; reads past the declared count return 0."""
 
     def __init__(self, params: GridParams, payload: bytes, declared_count: int):
+        if params.P > 2 and max(payload[:declared_count], default=0) >= params.P:
+            raise ContainerError(f"payload holds a digit outside base {params.P}")
         self.params = params
         self.payload = payload
         self.declared_count = declared_count
@@ -106,16 +127,26 @@ class DigitReader:
         return cls(params, w.to_bytes(), w.digit_count)
 
     def get_digit(self) -> int:
-        i = self.consumed
         self.consumed += 1
-        if i >= self.declared_count:
-            return 0
-        if self.params.P == 2:
-            return (self.payload[i >> 3] >> (7 - (i & 7))) & 1
-        return self.payload[i]
+        return self.value(self.consumed - 1, 1)
 
     def get_digits(self, n: int):
         return [self.get_digit() for _ in range(n)]
+
+    def value(self, start: int, n: int) -> int:
+        """Digits start .. start+n-1 read as one base-P number, first digit
+        most significant; digits at or past the declared count read as
+        zero.  Does not move the read position."""
+        P = self.params.P
+        end = max(start, min(start + n, self.declared_count))
+        if P == 2:
+            lo, hi = start >> 3, (end + 7) >> 3
+            v = int.from_bytes(self.payload[lo:hi], "big") >> ((hi << 3) - end)
+            return (v & ((1 << (end - start)) - 1)) << (start + n - end)
+        v = 0
+        for d in self.payload[start:end]:
+            v = v * P + d
+        return v * P ** (start + n - end)
 
 
 def payload_length(params: GridParams, digit_count: int) -> int:

@@ -36,10 +36,12 @@ def _locate(off, w, total):
 
 
 class _Fenwick:
-    """Prefix-sum tree over symbol counts (1-based internally)."""
+    """Prefix-sum tree over symbol counts (1-based internally), with the
+    counts themselves kept beside it in a plain list."""
 
     def __init__(self, counts):
         self.n = len(counts)
+        self.count = [0] * self.n
         self.tree = [0] * (self.n + 1)
         self.total = 0
         for i, c in enumerate(counts):
@@ -47,6 +49,7 @@ class _Fenwick:
 
     def add(self, i, delta):
         self.total += delta
+        self.count[i] += delta
         i += 1
         while i <= self.n:
             self.tree[i] += delta
@@ -61,7 +64,8 @@ class _Fenwick:
         return s
 
     def find(self, x):
-        """Largest i with prefix(i) <= x (all counts positive)."""
+        """Largest i with prefix(i) <= x (all counts positive), together
+        with prefix(i)."""
         i = 0
         rem = x
         bit = 1 << (self.n.bit_length())
@@ -71,10 +75,7 @@ class _Fenwick:
                 rem -= self.tree[j]
                 i = j
             bit >>= 1
-        return i
-
-    def snapshot(self):
-        return [self.prefix(i + 1) - self.prefix(i) for i in range(self.n)]
+        return i, x - rem
 
 
 class StaticModel:
@@ -171,7 +172,7 @@ class AdaptiveModel:
         return self._fen.total
 
     def counts(self):
-        return self._fen.snapshot()
+        return list(self._fen.count)
 
     def validate_for_coding(self):
         pass
@@ -179,15 +180,15 @@ class AdaptiveModel:
     def _bump(self, symbol):
         self._fen.add(symbol, 1)
         if self._fen.total > self.cap:
-            self._fen = _Fenwick([max(1, c // 2) for c in self._fen.snapshot()])
+            self._fen = _Fenwick([max(1, c // 2) for c in self._fen.count])
 
     def code(self, symbol, l, r):
         if not 0 <= symbol < self.num_symbols:
             raise ValueError(f"unknown symbol {symbol!r}")
         w = interval_width(l, r, self.params)
-        lo = self._fen.prefix(symbol)
-        hi = self._fen.prefix(symbol + 1)
-        out = _subdivide(l, lo, hi, w, self._fen.total, self.params.size)
+        fen = self._fen
+        lo = fen.prefix(symbol)
+        out = _subdivide(l, lo, lo + fen.count[symbol], w, fen.total, self.params.size)
         self._bump(symbol)
         return out
 
@@ -196,10 +197,11 @@ class AdaptiveModel:
         off = (g - l) % self.params.size
         if off >= w:
             raise ValueError(f"code point {g} outside interval [{l}, {r})")
-        symbol = self._fen.find(_locate(off, w, self._fen.total))
-        lo = self._fen.prefix(symbol)
-        hi = self._fen.prefix(symbol + 1)
-        l_new, r_new = _subdivide(l, lo, hi, w, self._fen.total, self.params.size)
+        fen = self._fen
+        symbol, lo = fen.find(_locate(off, w, fen.total))
+        l_new, r_new = _subdivide(
+            l, lo, lo + fen.count[symbol], w, fen.total, self.params.size
+        )
         self._bump(symbol)
         return l_new, r_new, symbol
 
