@@ -113,7 +113,7 @@ class DigitReader:
     """Sequential digit reader; reads past the declared count return 0."""
 
     def __init__(self, params: GridParams, payload: bytes, declared_count: int):
-        if params.P > 2 and max(payload[:declared_count], default=0) >= params.P:
+        if params.P > 2 and payload[:declared_count].translate(None, bytes(range(params.P))):
             raise ContainerError(f"payload holds a digit outside base {params.P}")
         self.params = params
         self.payload = payload

@@ -18,6 +18,7 @@ from padc import (
     CoderState,
     Decoder,
     DigitReader,
+    DigitWriter,
     Encoder,
     GridParams,
     HuffmanModel,
@@ -182,9 +183,16 @@ def test_fused_loops_match_reference(p, n, kind, ar):
             read = c["prefix_digits"] + c["flushes"] + c["folds"]
             boundaries.append((ref.state.as_tuple(), n + read))
         assert {k: getattr(enc, k) for k in COUNTERS} == ref.counts
-        digits += enc.finish(flush=flush)
 
-        # The same message in one run gives the same stream.
+        # The same message in one run gives the same digits, state and counts.
+        whole = Encoder(make_model(), ar=ar)
+        writer = DigitWriter(params)
+        whole.run(msg, writer)
+        assert writer.digits() == digits
+        assert whole.state.as_tuple() == ref.state.as_tuple()
+        assert {k: getattr(whole, k) for k in COUNTERS} == ref.counts
+
+        digits += enc.finish(flush=flush)
         assert encode(msg, make_model(), ar=ar, flush=flush) == digits
 
         reader = DigitReader.from_digits(params, digits)
