@@ -135,7 +135,7 @@ def _build_encode_model(kind, data, params, freq_file):
     if kind == "unary":
         distinct = set(data)
         if len(distinct) > 1:
-            raise CliError("unary model needs a single repeated byte", EXIT_USAGE)
+            raise ValueError("unary model needs a single repeated byte")
         sym = distinct.pop() if distinct else 0
         return UnaryModel(params), 1, sym
     raise CliError(f"unknown model {kind!r}", EXIT_USAGE)

@@ -27,8 +27,10 @@ state in local variables over a whole message, do prefix renorm and
 folds as inline integer arithmetic, and apply a run of k folds as one
 index operation.  The encoder resolves straddle exits and the valve's
 prefix through the reference functions, so tools that wrap those names
-still see those rarer events.  P=2 digits are written as the bits of
-one integer and read back with one byte slice per window refill.
+still see those rarer events.  For every P the encoder collects the
+digits it emits as one base-P number and hands it to
+DigitWriter.push_number; the decoder reads the digits its window is
+owed as one number with DigitReader.value.
 
 A coding session (state, model, stream) is single-owner; sessions over
 distinct states are independent.
@@ -50,8 +52,8 @@ from .core import (
 )
 from .digitio import DigitReader, DigitWriter
 
-# Emitted P=2 digits are pushed to the writer once this many pile up.
-_PUSH_BITS = 512
+# Emitted digits are pushed to the writer once this many pile up.
+_PUSH_DIGITS = 512
 
 
 class MalformedStreamError(ValueError):
@@ -232,8 +234,7 @@ class Encoder:
         floor, ar, binary = self.floor, self.ar, P == 2
         st = self.state
         l, r, pivot, pending = st.l, st.r, st.pivot, st.pending
-        acc = nacc = 0  # P=2: digits not yet pushed, as the nacc bits of acc
-        out = []  # P>2: digits not yet pushed
+        acc = nacc = 0  # digits not yet pushed, as the nacc base-P digits of acc
         n_prefix = n_flush = n_flush_digits = n_fold = n_valve = 0
         try:
             for s in symbols:
@@ -248,14 +249,12 @@ class Encoder:
                     if flushed is not None:
                         n_flush += 1
                         n_flush_digits += pending + 1
-                        if binary:
-                            # pivot, then pending copies of 0 or 1
-                            acc = (acc << (pending + 1)) | (
-                                (pivot << pending) - (flushed[0] < pivot)
-                            )
-                            nacc += pending + 1
-                        else:
-                            out += flushed
+                        # pivot then pending zeros, or pivot-1 then pending
+                        # copies of P-1 when the interval exits right of it
+                        acc = acc * P ** (pending + 1) + pivot * P**pending - (
+                            flushed[0] < pivot
+                        )
+                        nacc += pending + 1
                         l, r, pivot, pending = st.l, st.r, 0, 0
                 while True:
                     if not pending:
@@ -267,13 +266,10 @@ class Encoder:
                             while n < N and l // rpw[n] == r1 // rpw[n]:
                                 n += 1
                         if n:
-                            if binary:
-                                acc = (acc << n) | (l >> (N - n))
-                                nacc += n
-                            else:
-                                out += [l // d % P for d in rpw[:n]]
-                            n_prefix += n
                             q, u = pw[N - n], pw[n]
+                            acc = acc * u + l // q
+                            nacc += n
+                            n_prefix += n
                             l = (l % q) * u
                             r = (r % q) * u
                     if ar:
@@ -304,26 +300,19 @@ class Encoder:
                     else:
                         l = boundary
                     st.l, st.r, st.pending = l, r, 0
-                    valve_digits = renorm_prefix(st)
-                    n = len(valve_digits)
+                    n = len(renorm_prefix(st))
+                    acc = acc * pw[n] + l // pw[N - n]
+                    nacc += n
                     n_prefix += n
-                    if binary:
-                        acc = (acc << n) | (l >> (N - n))
-                        nacc += n
-                    else:
-                        out += valve_digits
                     l, r = st.l, st.r
                 if w < floor:
                     raise AssertionError(f"width floor violated: {w} < {floor}")
-                if nacc > _PUSH_BITS:
-                    writer.push_bits(acc, nacc)
+                if nacc > _PUSH_DIGITS:
+                    writer.push_number(acc, nacc)
                     acc = nacc = 0
         finally:
             st.l, st.r, st.pivot, st.pending = l, r, pivot, pending
-            if binary:
-                writer.push_bits(acc, nacc)
-            else:
-                writer.push_digits(out)
+            writer.push_number(acc, nacc)
             self.prefix_digits += n_prefix
             self.flushes += n_flush
             self.flush_digits += n_flush_digits

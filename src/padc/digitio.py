@@ -4,7 +4,10 @@ For P = 2 digits are packed eight per byte, first-pushed digit in the
 most significant bit, final byte zero-padded; the padding is invisible
 because readers zero-extend past the declared digit count anyway.  For
 P > 2 each digit occupies one byte (clarity over density; those grids
-are an experimental mode).
+are an experimental mode).  This packing rule lives here alone: the
+coder hands runs of digits over as one base-P number
+(DigitWriter.push_number) and reads them back the same way
+(DigitReader.value).
 
 Container layout (multi-byte integers little-endian):
 
@@ -63,15 +66,19 @@ class DigitWriter:
         self._acc = 0
         self._nbits = 0
 
-    def push(self, digit: int):
-        self.push_digits((digit,))
-
-    def push_bits(self, value: int, n: int):
-        """Append n binary digits given as the bits of value, first digit
-        most significant (P=2 only)."""
-        if value < 0 or value >> n:
-            raise ValueError(f"value {value} does not fit {n} binary digits")
+    def push_number(self, value: int, n: int):
+        """Append the n base-P digits of value, first digit most
+        significant; the inverse of DigitReader.value."""
+        P = self.params.P
+        if not 0 <= value < P**n:
+            raise ValueError(f"value {value} does not fit {n} base-{P} digits")
         self.digit_count += n
+        if P > 2:
+            digits = bytearray(n)
+            for i in range(n - 1, -1, -1):
+                value, digits[i] = divmod(value, P)
+            self._buf += digits
+            return
         acc = (self._acc << n) | value
         nbits = self._nbits + n
         keep = nbits & 7
@@ -85,15 +92,10 @@ class DigitWriter:
         if digits and max(digits) >= self.params.P:
             raise ValueError(f"digit {max(digits)} out of range for P={self.params.P}")
         if self.params.P == 2:
-            self.push_bits(int(b"0" + digits.translate(_TO_CHARS), 2), len(digits))
+            self.push_number(int(b"0" + digits.translate(_TO_CHARS), 2), len(digits))
         else:
             self.digit_count += len(digits)
             self._buf += digits
-
-    def push_repeat(self, digit: int, n: int):
-        if not 0 <= digit < self.params.P:
-            raise ValueError(f"digit {digit} out of range for P={self.params.P}")
-        self.push_digits(bytes([digit]) * n)
 
     def digits(self) -> list:
         """Every digit pushed so far, in order."""

@@ -102,14 +102,13 @@ class StaticModel:
         self.total = self.cum[-1]
         if self.total > params.size:
             raise ValueError("count total exceeds ring size")
+        self.eom = len(counts) - 1
+        self.symbols = range(len(counts))  # row -> symbol
+        self.rows = dict(zip(self.symbols, self.symbols))  # symbol -> row
 
     @property
     def num_symbols(self):
         return len(self.counts)
-
-    @property
-    def eom(self):
-        return len(self.counts) - 1
 
     def validate_for_coding(self):
         cap = self.params.powers[self.params.N - 2] if self.params.N >= 2 else 0
@@ -120,11 +119,12 @@ class StaticModel:
             )
 
     def code(self, symbol, l, r):
-        if not 0 <= symbol < self.num_symbols:
+        i = self.rows.get(symbol)
+        if i is None:
             raise ValueError(f"unknown symbol {symbol!r}")
         w = interval_width(l, r, self.params)
         return _subdivide(
-            l, self.cum[symbol], self.cum[symbol + 1], w, self.total, self.params.size
+            l, self.cum[i], self.cum[i + 1], w, self.total, self.params.size
         )
 
     def decode(self, g, l, r):
@@ -132,11 +132,11 @@ class StaticModel:
         off = (g - l) % self.params.size
         if off >= w:
             raise ValueError(f"code point {g} outside interval [{l}, {r})")
-        symbol = bisect_right(self.cum, _locate(off, w, self.total)) - 1
+        i = bisect_right(self.cum, _locate(off, w, self.total)) - 1
         l_new, r_new = _subdivide(
-            l, self.cum[symbol], self.cum[symbol + 1], w, self.total, self.params.size
+            l, self.cum[i], self.cum[i + 1], w, self.total, self.params.size
         )
-        return l_new, r_new, symbol
+        return l_new, r_new, self.symbols[i]
 
 
 class AdaptiveModel:
@@ -206,14 +206,15 @@ class AdaptiveModel:
         return l_new, r_new, symbol
 
 
-class HuffmanModel:
-    """Model derived from a complete prefix-free base-P codebook.
+class HuffmanModel(StaticModel):
+    """Static table model derived from a complete prefix-free base-P
+    codebook.
 
-    Symbol s occupies the grid cell that starts at the index of its
-    codeword path lifted to level N and spans P**(N - len) points, so the
-    cells tile [0, P**N) exactly and every coded symbol leaves the coder
-    back at the full interval.  With eom_symbol=None the model carries no
-    terminator and streams are delimited by their digit count instead.
+    The rows go in codeword order and each spans P**(N - len) points,
+    the grid cell of its codeword path lifted to level N, so the table
+    total is P**N and every coded symbol leaves the coder back at the
+    full interval.  With eom_symbol=None the model carries no terminator
+    and streams are delimited by their digit count instead.
     """
 
     kind = "huffman"
@@ -221,15 +222,14 @@ class HuffmanModel:
     def __init__(self, codebook, params: GridParams, eom_symbol=None):
         if not codebook:
             raise ValueError("empty codebook")
-        self.params = params
         self.codebook = {s: tuple(cw) for s, cw in codebook.items()}
         if eom_symbol is not None and eom_symbol not in self.codebook:
             raise ValueError(f"eom symbol {eom_symbol!r} not in codebook")
-        self.eom = eom_symbol
-        P, N = params.P, params.N
-        kraft = 0
-        self._cells = {}
-        for s, cw in self.codebook.items():
+        P, N, pw = params.P, params.N, params.powers
+        order = sorted(self.codebook, key=self.codebook.get)
+        widths, starts = [], []
+        for s in order:
+            cw = self.codebook[s]
             if len(cw) > N:
                 raise ValueError(f"codeword for {s!r} longer than grid level {N}")
             if any(not 0 <= d < P for d in cw):
@@ -237,26 +237,18 @@ class HuffmanModel:
             start = 0
             for d in cw:
                 start = start * P + d
-            start *= params.powers[N - len(cw)]
-            width = params.powers[N - len(cw)]
-            kraft += width
-            self._cells[s] = (start, width)
-        if kraft != params.size:
-            raise ValueError("codebook is not complete (Kraft sum != 1)")
-        self._starts = sorted((start, s) for s, (start, _) in self._cells.items())
-        bounds = [start for start, _ in self._starts] + [params.size]
-        for i, (start, s) in enumerate(self._starts):
-            if start + self._cells[s][1] != bounds[i + 1]:
-                raise ValueError("codebook cells overlap (code not prefix-free)")
-        self._bounds = bounds
-
-    @property
-    def num_symbols(self):
-        return len(self.codebook)
-
-    @property
-    def total(self):
-        return self.params.size
+            widths.append(pw[N - len(cw)])
+            starts.append(start * widths[-1])
+        super().__init__(widths, params)
+        # The cells tile the grid exactly iff the code is complete and
+        # prefix-free.
+        if self.total != params.size or self.cum[:-1] != starts:
+            raise ValueError(
+                "codebook cells do not tile the grid (code not complete and prefix-free)"
+            )
+        self.eom = eom_symbol
+        self.symbols = order
+        self.rows = {s: i for i, s in enumerate(order)}
 
     @property
     def min_codeword_len(self):
@@ -264,26 +256,6 @@ class HuffmanModel:
 
     def validate_for_coding(self):
         pass
-
-    def code(self, symbol, l, r):
-        if symbol not in self._cells:
-            raise ValueError(f"unknown symbol {symbol!r}")
-        start, width = self._cells[symbol]
-        w = interval_width(l, r, self.params)
-        return _subdivide(l, start, start + width, w, self.params.size, self.params.size)
-
-    def decode(self, g, l, r):
-        w = interval_width(l, r, self.params)
-        off = (g - l) % self.params.size
-        if off >= w:
-            raise ValueError(f"code point {g} outside interval [{l}, {r})")
-        i = bisect_right(self._bounds, _locate(off, w, self.params.size)) - 1
-        start, symbol = self._starts[i]
-        width = self._cells[symbol][1]
-        l_new, r_new = _subdivide(
-            l, start, start + width, w, self.params.size, self.params.size
-        )
-        return l_new, r_new, symbol
 
 
 class UnaryModel:

@@ -200,6 +200,21 @@ class TestBench:
         assert len(rows) == 2
         assert rows[1][0] == "TOTAL" and rows[1][1] == "0"
 
+    def test_uncodable_file_gets_failed_row(self, tmp_path, capsys):
+        d = tmp_path / "corpus"
+        d.mkdir()
+        (d / "a.txt").write_bytes(b"a" * 50)
+        (d / "b.txt").write_bytes(b"ab")
+        (d / "c.txt").write_bytes(b"c" * 30)
+        code, out, err = run_cli(capsys, "bench", "--model", "unary", d)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert [(r[0], r[-1]) for r in rows[1:]] == [
+            ("a.txt", "ok"), ("b.txt", "failed"), ("c.txt", "ok"), ("TOTAL", "ok"),
+        ]
+        assert int(rows[-1][1]) == 80
+        assert "single repeated byte" in err
+
     def test_iid_file_near_entropy(self, tmp_path, capsys):
         from padc.oracles import entropy
 

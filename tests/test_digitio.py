@@ -42,19 +42,6 @@ class TestWriterReader:
         w.push_digits([1, 1, 1])
         assert w.to_bytes() == bytes([0b11100000])
 
-    def test_push_repeat(self):
-        a = DigitWriter(P2N8)
-        a.push_repeat(0, 3)
-        b = DigitWriter(P2N8)
-        b.push_digits([0, 0, 0])
-        assert a.to_bytes() == b.to_bytes() and a.digit_count == b.digit_count
-        a.push_repeat(1, 0)
-        assert a.digit_count == 3
-        c = DigitWriter(P2N8)
-        c.push_repeat(1, 5)
-        r = DigitReader(P2N8, c.to_bytes(), c.digit_count)
-        assert r.get_digits(5) == [1, 1, 1, 1, 1]
-
     def test_zero_extension(self):
         r = DigitReader.from_digits(P2N8, [1, 0, 1])
         assert r.get_digits(5) == [1, 0, 1, 0, 0]
@@ -64,9 +51,9 @@ class TestWriterReader:
     def test_rejects_bad_digit(self):
         w = DigitWriter(P2N8)
         with pytest.raises(ValueError):
-            w.push(2)
+            w.push_digits([2])
         with pytest.raises(ValueError):
-            w.push_repeat(3, 2)
+            w.push_number(3, 1)
 
     def test_base3_byte_per_digit(self):
         w = DigitWriter(P3N6)
@@ -91,6 +78,35 @@ class TestWriterReader:
         digits = [d % p for d in raw]
         r = DigitReader.from_digits(params, digits)
         assert r.get_digits(len(digits)) == digits
+
+    @given(
+        st.sampled_from([2, 3, 5]),
+        st.lists(
+            st.tuples(st.booleans(), st.integers(0, 40), st.integers(0, 2**64)),
+            max_size=12,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_push_number_roundtrip(self, p, pushes):
+        """push_number(v, n), mixed with push_digits, reads back as v."""
+        params = GridParams(p, 4)
+        w = DigitWriter(params)
+        spans = []
+        for as_number, n, raw in pushes:
+            v = raw % p**n
+            start = w.digit_count
+            if as_number:
+                w.push_number(v, n)
+            else:
+                w.push_digits([v // p**i % p for i in range(n - 1, -1, -1)])
+            spans.append((start, n, v))
+        assert w.digit_count == sum(n for _, n, _ in spans)
+        r = DigitReader(params, w.to_bytes(), w.digit_count)
+        for start, n, v in spans:
+            assert r.value(start, n) == v
+        for v, n in ((p**3, 3), (1, 0), (-1, 5)):
+            with pytest.raises(ValueError):
+                w.push_number(v, n)
 
 
 def header_for(params, **kw):

@@ -12,6 +12,8 @@ from padc import (
     UnaryModel,
     canonical_codebook,
     code_lengths,
+    decode,
+    encode,
     huffman_code_lengths,
     interval_width,
 )
@@ -180,6 +182,16 @@ class TestHuffmanModel:
     def test_rejects_overlapping(self):
         with pytest.raises(ValueError):
             HuffmanModel({0: (0,), 1: (0, 1), 2: (1, 0), 3: (1, 1)}, P2N4)
+        with pytest.raises(ValueError):
+            HuffmanModel({0: (0,), 1: (0,)}, P2N4)  # Kraft sum 1, one cell twice
+
+    def test_str_symbols_roundtrip(self):
+        book = {"a": (0,), "b": (1, 0), "c": (1, 1, 0), "end": (1, 1, 1)}
+        msg = list("abacabcaab")
+        for ar in (True, False):
+            model = HuffmanModel(book, P2N6, eom_symbol="end")
+            digits = encode(msg, model, ar=ar)
+            assert decode(digits, model, ar=ar) == msg
 
     def test_rejects_long_codeword(self):
         with pytest.raises(ValueError):
