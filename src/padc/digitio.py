@@ -32,8 +32,11 @@ Writers and readers are single-owner objects; distinct instances are
 independent.
 """
 
+import math
 import struct
 from dataclasses import dataclass
+from functools import cache
+from itertools import product
 
 from .core import GridParams
 
@@ -58,6 +61,14 @@ class ContainerError(ValueError):
 _TO_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
+@cache
+def _digit_table(P):
+    """(k, table) for the largest k >= 1 with P**k <= 256: table[v] is the
+    k-byte digit string of v < P**k, first digit first."""
+    k = max(1, int(math.log(256, P)))
+    return k, [bytes(t) for t in product(range(P), repeat=k)]
+
+
 class DigitWriter:
     def __init__(self, params: GridParams):
         self.params = params
@@ -74,10 +85,14 @@ class DigitWriter:
             raise ValueError(f"value {value} does not fit {n} base-{P} digits")
         self.digit_count += n
         if P > 2:
-            digits = bytearray(n)
-            for i in range(n - 1, -1, -1):
-                value, digits[i] = divmod(value, P)
-            self._buf += digits
+            k, table = _digit_table(P)
+            q, head = divmod(n, k)
+            parts = []
+            for _ in range(q):
+                value, low = divmod(value, len(table))
+                parts.append(table[low])
+            parts.append(table[value][k - head :])
+            self._buf += b"".join(reversed(parts))
             return
         acc = (self._acc << n) | value
         nbits = self._nbits + n

@@ -12,12 +12,18 @@ full interval.  Subdivision uses the integer form
     l_new = l + floor(w * C[i] / T),  r_new = l + floor(w * C[i+1] / T)
 
 with w the interval width and C the cumulative count table, which tiles
-[l, r) exactly: no gaps, no overlaps.
+[l, r) exactly: no gaps, no overlaps.  The adaptive model reads C from a
+table built at its last rebuild plus a sorted log of the symbols coded
+since then.
 """
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
+from itertools import accumulate
 
 from .core import GridParams, interval_width
+
+# Symbols coded between rebuilds of the adaptive model's cumulative table.
+_REBUILD_EVERY = 64
 
 
 def _subdivide(l, lo, hi, w, total, size):
@@ -28,54 +34,6 @@ def _subdivide(l, lo, hi, w, total, size):
             f"empty symbol interval (width {w} too narrow for total {total})"
         )
     return l_new, r_new
-
-
-def _locate(off, w, total):
-    # Largest cumulative value C with floor(w*C/total) <= off.
-    return (total * (off + 1) - 1) // w
-
-
-class _Fenwick:
-    """Prefix-sum tree over symbol counts (1-based internally), with the
-    counts themselves kept beside it in a plain list."""
-
-    def __init__(self, counts):
-        self.n = len(counts)
-        self.count = [0] * self.n
-        self.tree = [0] * (self.n + 1)
-        self.total = 0
-        for i, c in enumerate(counts):
-            self.add(i, c)
-
-    def add(self, i, delta):
-        self.total += delta
-        self.count[i] += delta
-        i += 1
-        while i <= self.n:
-            self.tree[i] += delta
-            i += i & (-i)
-
-    def prefix(self, i):
-        """Sum of counts[0:i]."""
-        s = 0
-        while i > 0:
-            s += self.tree[i]
-            i -= i & (-i)
-        return s
-
-    def find(self, x):
-        """Largest i with prefix(i) <= x (all counts positive), together
-        with prefix(i)."""
-        i = 0
-        rem = x
-        bit = 1 << (self.n.bit_length())
-        while bit:
-            j = i + bit
-            if j <= self.n and self.tree[j] <= rem:
-                rem -= self.tree[j]
-                i = j
-            bit >>= 1
-        return i, x - rem
 
 
 class StaticModel:
@@ -132,7 +90,8 @@ class StaticModel:
         off = (g - l) % self.params.size
         if off >= w:
             raise ValueError(f"code point {g} outside interval [{l}, {r})")
-        i = bisect_right(self.cum, _locate(off, w, self.total)) - 1
+        # Largest cumulative value C with floor(w*C/total) <= off.
+        i = bisect_right(self.cum, (self.total * (off + 1) - 1) // w) - 1
         l_new, r_new = _subdivide(
             l, self.cum[i], self.cum[i + 1], w, self.total, self.params.size
         )
@@ -143,7 +102,14 @@ class AdaptiveModel:
     """Order-0 adaptive model: every count starts at 1 and grows by 1 per
     coded symbol.  When the total would pass the grid cap P**(N-2) all
     counts are halved (floor, clamped to 1).  Encoder and decoder apply
-    the same updates, so their tables agree at every step."""
+    the same updates, so their tables agree at every step.
+
+    The exact counts sit in a plain list, beside a cumulative table from
+    the last rebuild (cum[i] counts the symbols below i, for i < n) and
+    the sorted log of symbols coded since then: the exact count below i
+    is cum[i] + bisect_left(recent, i), two C-level lookups.  The table
+    is rebuilt every _REBUILD_EVERY symbols and when counts are halved.
+    """
 
     kind = "adaptive"
 
@@ -151,58 +117,77 @@ class AdaptiveModel:
         if alphabet_size < 1:
             raise ValueError("alphabet size must be >= 1")
         self.params = params
-        self.alphabet_size = alphabet_size
         self.cap = params.powers[params.N - 2] if params.N >= 2 else 0
         if alphabet_size + 1 > self.cap:
             raise ValueError(
                 f"alphabet of {alphabet_size} symbols (+EOM) exceeds grid cap {self.cap}"
             )
-        self._fen = _Fenwick([1] * (alphabet_size + 1))
-
-    @property
-    def num_symbols(self):
-        return self.alphabet_size + 1
-
-    @property
-    def eom(self):
-        return self.alphabet_size
-
-    @property
-    def total(self):
-        return self._fen.total
+        self.eom = alphabet_size
+        self.num_symbols = self.total = alphabet_size + 1
+        self._count = [1] * self.num_symbols
+        self._rebuild()
 
     def counts(self):
-        return list(self._fen.count)
+        return list(self._count)
 
     def validate_for_coding(self):
         pass
 
-    def _bump(self, symbol):
-        self._fen.add(symbol, 1)
-        if self._fen.total > self.cap:
-            self._fen = _Fenwick([max(1, c // 2) for c in self._fen.count])
+    def _rebuild(self):
+        if self.total > self.cap:
+            self._count = [max(1, c // 2) for c in self._count]
+            self.total = sum(self._count)
+        self._cum = list(accumulate(self._count[:-1], initial=0))
+        self._recent = []
 
     def code(self, symbol, l, r):
         if not 0 <= symbol < self.num_symbols:
             raise ValueError(f"unknown symbol {symbol!r}")
-        w = interval_width(l, r, self.params)
-        fen = self._fen
-        lo = fen.prefix(symbol)
-        out = _subdivide(l, lo, lo + fen.count[symbol], w, fen.total, self.params.size)
-        self._bump(symbol)
-        return out
+        size = self.params.size
+        w = (r - l) % size or size
+        count, recent, total = self._count, self._recent, self.total
+        lo = self._cum[symbol] + bisect_left(recent, symbol)
+        c = count[symbol]
+        l_new = (l + w * lo // total) % size
+        r_new = (l + w * (lo + c) // total) % size
+        if l_new == r_new and c != total:
+            raise ValueError(
+                f"empty symbol interval (width {w} too narrow for total {total})"
+            )
+        count[symbol] = c + 1
+        self.total = total + 1
+        insort(recent, symbol)
+        if len(recent) == _REBUILD_EVERY or total >= self.cap:
+            self._rebuild()
+        return l_new, r_new
 
     def decode(self, g, l, r):
-        w = interval_width(l, r, self.params)
-        off = (g - l) % self.params.size
+        size = self.params.size
+        w = (r - l) % size or size
+        off = (g - l) % size
         if off >= w:
             raise ValueError(f"code point {g} outside interval [{l}, {r})")
-        fen = self._fen
-        symbol, lo = fen.find(_locate(off, w, fen.total))
-        l_new, r_new = _subdivide(
-            l, lo, lo + fen.count[symbol], w, fen.total, self.params.size
-        )
-        self._bump(symbol)
+        count, cum, recent, total = self._count, self._cum, self._recent, self.total
+        # x is the largest cumulative count C with floor(w*C/total) <= off.
+        # The stale table undercounts, so its symbol is an upper bound.
+        x = (total * (off + 1) - 1) // w
+        symbol = bisect_right(cum, x) - 1
+        lo = cum[symbol] + bisect_left(recent, symbol)
+        while lo > x:
+            symbol -= 1
+            lo = cum[symbol] + bisect_left(recent, symbol)
+        c = count[symbol]
+        l_new = (l + w * lo // total) % size
+        r_new = (l + w * (lo + c) // total) % size
+        if l_new == r_new and c != total:
+            raise ValueError(
+                f"empty symbol interval (width {w} too narrow for total {total})"
+            )
+        count[symbol] = c + 1
+        self.total = total + 1
+        insort(recent, symbol)
+        if len(recent) == _REBUILD_EVERY or total >= self.cap:
+            self._rebuild()
         return l_new, r_new, symbol
 
 

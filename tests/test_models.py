@@ -1,4 +1,6 @@
 import random
+from bisect import bisect_right
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -128,10 +130,13 @@ class TestAdaptiveModel:
     def test_halving_at_cap(self):
         params = GridParams(2, 6)  # cap 16
         m = AdaptiveModel(3, params)
-        for _ in range(12):
-            m.code(1, 0, 0)
-        assert m.total <= 16
-        assert all(c >= 1 for c in m.counts())
+        for s in [0, 0, 2, 2, 2] + [1] * 7:
+            m.code(s, 0, 0)
+        assert m.counts() == [3, 8, 4, 1]
+        assert m.total == 16  # at the cap, not past it: no halving yet
+        m.code(2, 0, 0)  # total 17 passes the cap: [3, 8, 5, 1] is halved
+        assert m.counts() == [1, 4, 2, 1]
+        assert m.total == 8
 
     def test_sync_code_vs_decode(self):
         params = GridParams(2, 20)
@@ -148,6 +153,65 @@ class TestAdaptiveModel:
     def test_rejects_oversized_alphabet(self):
         with pytest.raises(ValueError):
             AdaptiveModel(64, GridParams(2, 6))
+
+    @pytest.mark.parametrize(
+        "params, alphabet, stretch",
+        [
+            (GridParams(2, 8), 5, 0),  # cap 64: halving fires again and again
+            (GridParams(3, 6), 7, 0),
+            (GridParams(2, 10), 100, 63),  # fresh counts, then 63 zeros
+        ],
+    )
+    def test_matches_naive_reference(self, params, alphabet, stretch):
+        """code/decode agree with a plain count list whose cumulative sums
+        are recomputed at every symbol, under the same halving rule."""
+        rng = random.Random(alphabet)
+        size, cap = params.size, params.powers[params.N - 2]
+        m = AdaptiveModel(alphabet, params)
+        counts = [1] * (alphabet + 1)
+        stale_steps = 0
+        for step in range(4000):
+            total = sum(counts)
+            if step % 7 == 0:
+                l, r = 0, 0
+            else:
+                l = rng.randrange(size)
+                w = rng.randint(1 if step % 5 == 0 else total, size)
+                r = (l + w) % size
+            w = interval_width(l, r, params)
+            cells = [
+                ((l + w * lo // total) % size, (l + w * (lo + c) // total) % size)
+                for lo, c in zip(accumulate(counts, initial=0), counts)
+            ]
+            if step < stretch or rng.random() < 0.5:
+                s = 0 if step < stretch else min(int(rng.expovariate(0.6)), alphabet)
+                a, b = cells[s]
+                if a == b and counts[s] != total:
+                    with pytest.raises(ValueError):
+                        m.code(s, l, r)
+                    assert m.counts() == counts
+                    continue
+                assert m.code(s, l, r) == (a, b)
+            else:
+                g = (l + rng.randrange(w)) % size
+                s = next(
+                    i for i, (a, b) in enumerate(cells)
+                    if (g - a) % size < interval_width(a, b, params) and a != b
+                )
+                x = (total * ((g - l) % size + 1) - 1) // w
+                stale_steps += bisect_right(m._cum, x) - 1 - s
+                assert m.decode(g, l, r) == (*cells[s], s)
+            counts[s] += 1
+            if sum(counts) > cap:
+                counts = [max(1, c // 2) for c in counts]
+            assert m.counts() == counts
+            assert m.total == sum(counts)
+        if stretch:  # the stale table overshot and decode stepped down
+            assert stale_steps > 0
+        with pytest.raises(ValueError):
+            m.decode(5, 3, 5)  # point outside [3, 5)
+        with pytest.raises(ValueError):
+            m.code(alphabet + 1, 0, 0)
 
 
 class TestHuffmanModel:
