@@ -29,8 +29,9 @@ index operation.  The encoder resolves straddle exits and the valve's
 prefix through the reference functions, so tools that wrap those names
 still see those rarer events.  For every P the encoder collects the
 digits it emits as one base-P number and hands it to
-DigitWriter.push_number; the decoder reads the digits its window is
-owed as one number with DigitReader.value.
+DigitWriter.push_number; the decoder reads stream digits ahead of its
+window, _READ_DIGITS at a time with DigitReader.value, and takes the
+digits its window is owed off the front of that number.
 
 A coding session (state, model, stream) is single-owner; sessions over
 distinct states are independent.
@@ -54,6 +55,8 @@ from .digitio import DigitReader, DigitWriter
 
 # Emitted digits are pushed to the writer once this many pile up.
 _PUSH_DIGITS = 512
+# The decoder reads stream digits ahead of its window this many at a time.
+_READ_DIGITS = 64
 
 
 class MalformedStreamError(ValueError):
@@ -391,6 +394,10 @@ class Decoder:
             raise _exhausted()
         self.g = reader.value(reader.consumed, self.params.N)
         reader.consumed += self.params.N
+        # Read-ahead (buf, nb): the nb stream digits from reader.consumed
+        # on, as one base-P number.
+        self._ahead = (0, 0)
+        self._apw = [self.params.P**k for k in range(_READ_DIGITS + 1)]
 
     def next_symbol(self):
         out = self.run([], limit=1)
@@ -402,10 +409,14 @@ class Decoder:
         default); returns out.
 
         The window is shifted like the interval edges, with zeros filled
-        in; the m stream digits it is owed are added in one read before
+        in; the m stream digits it is owed are added in one step before
         its value is next used.  That is exact: both edges then end in m
         zero digits, which no later shift or fold of the symbol reaches
-        past, so none reaches past them on the window either."""
+        past, so none reaches past them on the window either.  The digits
+        come from a read-ahead number refilled a chunk at a time; digits
+        in it are only cached, not consumed, so reader.consumed, every
+        budget check and the point where a check trips are the same as
+        with one read per symbol."""
         out = [] if out is None else out
         if self.done:
             raise ValueError("decoder already finished")
@@ -415,7 +426,8 @@ class Decoder:
         rpw = pw[N - 1 :: -1]
         floor, ar, binary = self.floor, self.ar, P == 2
         reader = self.reader
-        value = reader.value
+        value, apw = reader.value, self._apw
+        chunk, big = len(apw) - 1, apw[-1]
         # Every read beyond the declared digits plus the initial window
         # is backed by a pending fold the encoder resolves (or trims) later.
         budget = reader.declared_count + N
@@ -424,6 +436,7 @@ class Decoder:
         st = self.state
         l, r, pivot, pending = st.l, st.r, st.pivot, st.pending
         g, c, m = self.g, reader.consumed, 0  # c digits read, m more owed
+        buf, nb = self._ahead
         try:
             for _ in repeat(None) if limit is None else range(limit):
                 if until_end and c >= budget:
@@ -474,7 +487,16 @@ class Decoder:
                                 g = g // top * top + (g % q) * u
                                 m += k
                     if m:
-                        g += value(c, m)
+                        while nb < m:
+                            buf = buf * big + value(c + nb, chunk)
+                            nb += chunk
+                        nb -= m
+                        if binary:
+                            g += buf >> nb
+                            buf &= apw[nb] - 1
+                        else:
+                            q, buf = divmod(buf, apw[nb])
+                            g += q
                         c += m
                         m = 0
                     w = (r - l) % size or size
@@ -493,6 +515,7 @@ class Decoder:
         finally:
             st.l, st.r, st.pivot, st.pending = l, r, pivot, pending
             self.g = g
+            self._ahead = (buf, nb) if not m else (0, 0)
             reader.consumed = c + m
         return out
 

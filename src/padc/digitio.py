@@ -6,7 +6,7 @@ because readers zero-extend past the declared digit count anyway.  For
 P > 2 each digit occupies one byte (clarity over density; those grids
 are an experimental mode).  This packing rule lives here alone: the
 coder hands runs of digits over as one base-P number
-(DigitWriter.push_number) and reads them back the same way
+(DigitWriter.push_number) and reads them back in chunks the same way
 (DigitReader.value).
 
 Container layout (multi-byte integers little-endian):

@@ -20,20 +20,10 @@ since then.
 from bisect import bisect_left, bisect_right, insort
 from itertools import accumulate
 
-from .core import GridParams, interval_width
+from .core import GridParams
 
 # Symbols coded between rebuilds of the adaptive model's cumulative table.
 _REBUILD_EVERY = 64
-
-
-def _subdivide(l, lo, hi, w, total, size):
-    l_new = (l + w * lo // total) % size
-    r_new = (l + w * hi // total) % size
-    if l_new == r_new and hi - lo != total:
-        raise ValueError(
-            f"empty symbol interval (width {w} too narrow for total {total})"
-        )
-    return l_new, r_new
 
 
 class StaticModel:
@@ -54,6 +44,7 @@ class StaticModel:
             raise ValueError("all symbol counts must be >= 1")
         self.params = params
         self.counts = counts
+        self.num_symbols = len(counts)
         self.cum = [0]
         for c in counts:
             self.cum.append(self.cum[-1] + c)
@@ -63,10 +54,6 @@ class StaticModel:
         self.eom = len(counts) - 1
         self.symbols = range(len(counts))  # row -> symbol
         self.rows = dict(zip(self.symbols, self.symbols))  # symbol -> row
-
-    @property
-    def num_symbols(self):
-        return len(self.counts)
 
     def validate_for_coding(self):
         cap = self.params.powers[self.params.N - 2] if self.params.N >= 2 else 0
@@ -80,22 +67,27 @@ class StaticModel:
         i = self.rows.get(symbol)
         if i is None:
             raise ValueError(f"unknown symbol {symbol!r}")
-        w = interval_width(l, r, self.params)
-        return _subdivide(
-            l, self.cum[i], self.cum[i + 1], w, self.total, self.params.size
-        )
+        size, cum, total = self.params.size, self.cum, self.total
+        w = (r - l) % size or size
+        l_new = (l + w * cum[i] // total) % size
+        r_new = (l + w * cum[i + 1] // total) % size
+        if l_new == r_new and self.counts[i] != total:
+            raise ValueError(
+                f"empty symbol interval (width {w} too narrow for total {total})"
+            )
+        return l_new, r_new
 
     def decode(self, g, l, r):
-        w = interval_width(l, r, self.params)
-        off = (g - l) % self.params.size
+        size, cum, total = self.params.size, self.cum, self.total
+        w = (r - l) % size or size
+        off = (g - l) % size
         if off >= w:
             raise ValueError(f"code point {g} outside interval [{l}, {r})")
-        # Largest cumulative value C with floor(w*C/total) <= off.
-        i = bisect_right(self.cum, (self.total * (off + 1) - 1) // w) - 1
-        l_new, r_new = _subdivide(
-            l, self.cum[i], self.cum[i + 1], w, self.total, self.params.size
-        )
-        return l_new, r_new, self.symbols[i]
+        # Row i has the largest C = cum[i] with floor(w*C/total) <= off, so
+        # its cell holds off and is never empty.
+        i = bisect_right(cum, (total * (off + 1) - 1) // w) - 1
+        l_new = (l + w * cum[i] // total) % size
+        return l_new, (l + w * cum[i + 1] // total) % size, self.symbols[i]
 
 
 class AdaptiveModel:
@@ -269,8 +261,7 @@ class UnaryModel:
 
     def decode(self, g, l, r):
         size = self.params.size
-        w = interval_width(l, r, self.params)
-        if (g - l) % size >= w:
+        if (g - l) % size >= ((r - l) % size or size):
             raise ValueError(f"code point {g} outside interval [{l}, {r})")
         rm1 = (r - 1) % size
         if g == rm1:

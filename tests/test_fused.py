@@ -6,13 +6,16 @@ the loops fuse (flush -> prefix -> folds -> valve, one fold at a time).
 The fused encoder must emit the same digits, reach the same state at
 every symbol boundary and count the same rescaling work; the fused
 decoder must follow in lockstep, reading exactly the digits those
-events shift in.
+events shift in.  ReferenceDecoder mirrors the reference transitions on
+the decoder's window with one digit read per shifted-in digit; it is
+the reference for the decoder's read-ahead.
 """
 
 import random
 
 import pytest
 
+import padc.codec as codec
 from padc import (
     AdaptiveModel,
     CoderState,
@@ -34,6 +37,7 @@ from padc import (
     straddle_fold,
     width_floor,
 )
+from padc.core import squeeze_second_digit
 from helpers import random_binary_book, random_pary_book, scaled_counts
 
 COUNTERS = ("prefix_digits", "flushes", "flush_digits", "folds", "valves")
@@ -240,3 +244,113 @@ def test_all_zero_stream_trips_budget_at_fixed_point():
             dec.next_symbol()
             decoded += 1
     assert (decoded, reader.consumed) == (21_408, 2031)
+
+
+class ReferenceDecoder:
+    """Mirror of ReferenceEncoder on a window g of N stream digits: each
+    event shifts the window like the interval edges and takes the digits
+    it is owed at once, one DigitReader.get_digit() per digit, so nothing
+    is read ahead of the window."""
+
+    def __init__(self, reader, model, ar):
+        self.reader = reader
+        self.model = model
+        self.params = model.params
+        self.ar = ar
+        self.state = CoderState(self.params)
+        self.floor = width_floor(self.params)
+        self.g = 0
+        for d in reader.get_digits(self.params.N):
+            self.g = self.g * self.params.P + d
+
+    def boundary(self):
+        return self.reader.consumed, self.g, self.state.as_tuple()
+
+    def _prefix_and_folds(self):
+        st, params, get = self.state, self.params, self.reader.get_digit
+        top = params.powers[params.N - 1]
+        if st.pending == 0:
+            for _ in renorm_prefix(st):
+                self.g = (self.g % top) * params.P + get()
+        while self.ar and straddle_check(st.l, st.r, params):
+            straddle_fold(st)
+            self.g = squeeze_second_digit(self.g, params) + get()
+
+    def next_symbol(self):
+        st, params = self.state, self.params
+        top = params.powers[params.N - 1]
+        st.l, st.r, s = self.model.decode(self.g, st.l, st.r)
+        if s == self.model.eom:
+            return s
+        if st.pending and straddle_flush(st) is not None:
+            self.g = (self.g % top) * params.P + self.reader.get_digit()
+        self._prefix_and_folds()
+        while st.pending == 0 and interval_width(st.l, st.r, params) < self.floor:
+            boundary = (st.l // top + 1) * top
+            if self.g < boundary:
+                st.r = boundary
+            else:
+                st.l = boundary
+            self._prefix_and_folds()
+        return s
+
+
+@pytest.mark.parametrize("chunk", [1, 3, codec._READ_DIGITS])
+@pytest.mark.parametrize("kind", KINDS + ["huffman-count"])
+@pytest.mark.parametrize("p,n", [(2, 4), (2, 31), (2, 61), (3, 5), (5, 9)])
+def test_read_ahead_lockstep(p, n, kind, chunk, monkeypatch):
+    """Read-ahead digits are cached, not consumed: one run() and runs of
+    random length both end where the per-event reference does, in
+    consumed digits, window and state.  Chunks of 1 and 3 digits make
+    owed runs (up to N-2 fold digits) span several refills; short
+    messages end their declared digits inside the first chunk."""
+    monkeypatch.setattr(codec, "_READ_DIGITS", chunk)
+    params = GridParams(p, n)
+    rng = random.Random(f"ahead-{p}-{n}-{kind}-{chunk}")
+    for ar, flush, length in [(True, "min", 1), (False, "left", 5),
+                              (True, "left", 300), (False, "min", 300)]:
+        if kind == "huffman-count":  # no end marker: delimited by digit count
+            if p == 2:
+                book = random_binary_book(rng, rng.randint(2, min(40, 2**n)), max_len=n)
+            else:
+                book = random_pary_book(rng, p, max_len=n)
+            make_model = lambda: HuffmanModel(book, params)
+            msg = [rng.choice(list(book)) for _ in range(length)]
+        else:
+            make_model, msg = trial(rng, kind, params, rng.randint(0, length))
+        digits = encode(msg, make_model(), ar=ar, flush=flush)
+
+        def reader():
+            return DigitReader.from_digits(params, digits)
+
+        ref = ReferenceDecoder(reader(), make_model(), ar)
+        boundaries = [ref.boundary()]
+        for s in msg:
+            assert ref.next_symbol() == s
+            boundaries.append(ref.boundary())
+        if ref.model.eom is not None:
+            assert ref.next_symbol() == ref.model.eom
+        final = ref.boundary()
+
+        dec = Decoder(reader(), make_model(), ar=ar)
+        assert dec.run() == msg
+        assert (dec.reader.consumed, dec.g, dec.state.as_tuple()) == final
+
+        dec = Decoder(reader(), make_model(), ar=ar)
+        out = []
+        while not dec.done and len(out) < len(msg):
+            dec.run(out, limit=min(rng.randint(1, 40), len(msg) - len(out)))
+            want = final if dec.done else boundaries[len(out)]
+            assert (dec.reader.consumed, dec.g, dec.state.as_tuple()) == want
+        assert out == msg
+
+
+@pytest.mark.parametrize("chunk", [1, 3, codec._READ_DIGITS])
+def test_budget_trip_point_independent_of_chunk(chunk, monkeypatch):
+    monkeypatch.setattr(codec, "_READ_DIGITS", chunk)
+    params = GridParams(2, 31)
+    reader = DigitReader(params, bytes(250), 2000)
+    out = []
+    with pytest.raises(MalformedStreamError):
+        Decoder(reader, AdaptiveModel(256, params)).run(out)
+    assert (len(out), reader.consumed) == (21_408, 2031)

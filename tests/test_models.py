@@ -214,6 +214,66 @@ class TestAdaptiveModel:
             m.code(alphabet + 1, 0, 0)
 
 
+class TestTableModels:
+    @pytest.mark.parametrize("case", ["static", "huffman-str", "huffman-p3"])
+    def test_match_naive_reference(self, case):
+        """StaticModel and HuffmanModel code/decode agree with the plain
+        floor(w*C/T) subdivision over a cumulative table built here, on
+        random intervals: narrow ones empty some cells (code raises) and
+        random points fall outside the interval (decode raises)."""
+        rng = random.Random(case)
+        if case == "static":
+            params = GridParams(2, 12)
+            rows = list(range(30))
+            counts = scaled_counts(rng, len(rows), params.powers[10])
+            m = StaticModel(counts, params)
+        else:
+            if case == "huffman-str":
+                params = GridParams(2, 10)
+                book = random_binary_book(rng, 25, max_len=10)
+                book = {f"s{s}": cw for s, cw in book.items()}
+                m = HuffmanModel(book, params, eom_symbol="s0")
+            else:
+                params = GridParams(3, 6)
+                book = random_pary_book(rng, 3, max_len=6)
+                m = HuffmanModel(book, params)
+            rows = sorted(book, key=book.get)
+            counts = [params.powers[params.N - len(book[s])] for s in rows]
+        size, total = params.size, sum(counts)
+        cum = list(accumulate(counts, initial=0))
+        raised = {"code": 0, "decode": 0}
+        for step in range(3000):
+            l = rng.randrange(size)
+            w = rng.randint(1, size) if step % 3 else rng.randint(1, 3 * len(rows))
+            r = (l + w) % size
+            cells = [
+                ((l + w * cum[i] // total) % size, (l + w * cum[i + 1] // total) % size)
+                for i in range(len(rows))
+            ]
+            i = rng.randrange(len(rows))
+            a, b = cells[i]
+            if a == b and counts[i] != total:
+                with pytest.raises(ValueError, match="empty symbol interval"):
+                    m.code(rows[i], l, r)
+                raised["code"] += 1
+            else:
+                assert m.code(rows[i], l, r) == (a, b)
+            g = rng.randrange(size)
+            if (g - l) % size >= w:
+                with pytest.raises(ValueError, match="outside interval"):
+                    m.decode(g, l, r)
+                raised["decode"] += 1
+                continue
+            i = next(
+                i for i, (a, b) in enumerate(cells)
+                if a != b and (g - a) % size < interval_width(a, b, params)
+            )
+            assert m.decode(g, l, r) == (*cells[i], rows[i])
+        assert min(raised.values()) > 0
+        with pytest.raises(ValueError, match="unknown symbol"):
+            m.code("absent", 0, 0)
+
+
 class TestHuffmanModel:
     def test_paper_starting_indexes(self):
         m = HuffmanModel(PAPER_BOOK, GridParams(2, 3))
