@@ -4,6 +4,10 @@ Messages shrink an interval of grid indexes; the digits the coder emits
 are the path digits shared by the interval edges, so output is built
 least significant digit first and decoding is incremental.  Special
 models reproduce Huffman and Golomb-Rice codes bit for bit.
+
+The paper's digit-path notation and the per-event reference transitions
+the coder is tested against live in padc.reference, which this package
+does not re-export.
 """
 
 from .codec import (
@@ -13,30 +17,9 @@ from .codec import (
     MalformedStreamError,
     decode,
     encode,
-    renorm_prefix,
-    straddle_check,
-    straddle_flush,
-    straddle_fold,
     width_floor,
 )
-from .core import (
-    DigitVec,
-    GridParams,
-    common_path_len,
-    cut_digits,
-    digit_reverse,
-    drop_digits,
-    interval_width,
-    joint_trimmed_len,
-    lift,
-    ord_p,
-    prefix_agreement,
-    shortest_path_point,
-    take_digits,
-    to_index,
-    to_path,
-    trimmed_len,
-)
+from .core import GridParams, interval_width, shortest_path_point
 from .digitio import (
     ContainerError,
     ContainerHeader,
@@ -62,7 +45,6 @@ __all__ = [
     "ContainerHeader",
     "Decoder",
     "DigitReader",
-    "DigitVec",
     "DigitWriter",
     "Encoder",
     "GridParams",
@@ -72,28 +54,12 @@ __all__ = [
     "UnaryModel",
     "canonical_codebook",
     "code_lengths",
-    "common_path_len",
-    "cut_digits",
     "decode",
-    "digit_reverse",
-    "drop_digits",
     "encode",
     "huffman_code_lengths",
     "interval_width",
-    "joint_trimmed_len",
-    "lift",
-    "ord_p",
-    "prefix_agreement",
     "read_container",
-    "renorm_prefix",
     "shortest_path_point",
-    "straddle_check",
-    "straddle_flush",
-    "straddle_fold",
-    "take_digits",
-    "to_index",
-    "to_path",
-    "trimmed_len",
     "width_floor",
     "write_container",
 ]

@@ -92,7 +92,7 @@ def _read_freq_file(path):
 
 
 def _build_encode_model(kind, data, params, freq_file):
-    """Choose the model plus its container descriptor for a byte message."""
+    """Alphabet size and container descriptor of the model for a byte message."""
     cap = params.powers[params.N - 2]
     if kind == "adaptive":
         if BYTE_ALPHABET + 1 > cap:
@@ -100,7 +100,7 @@ def _build_encode_model(kind, data, params, freq_file):
                 f"adaptive byte model needs P**(N-2) >= {BYTE_ALPHABET + 1}",
                 EXIT_USAGE,
             )
-        return AdaptiveModel(BYTE_ALPHABET, params), BYTE_ALPHABET, None
+        return BYTE_ALPHABET, None
     if kind == "static":
         if freq_file is not None:
             counts = _read_freq_file(freq_file)
@@ -110,7 +110,7 @@ def _build_encode_model(kind, data, params, freq_file):
                 counts[b] += 1
             counts = [c + 1 for c in counts[:-1]] + [1]
         counts = _scaled_counts(counts, cap)
-        return StaticModel(counts, params), BYTE_ALPHABET, counts
+        return BYTE_ALPHABET, counts
     if kind == "huffman":
         if params.P != 2:
             raise CliError("huffman mode supports P=2 only", EXIT_USAGE)
@@ -130,14 +130,13 @@ def _build_encode_model(kind, data, params, freq_file):
             lengths = [0] * BYTE_ALPHABET
             for s, ln in zip(present, lens):
                 lengths[s] = ln
-        book = canonical_codebook(lengths)
-        return HuffmanModel(book, params), BYTE_ALPHABET, lengths
+        return BYTE_ALPHABET, lengths
     if kind == "unary":
         distinct = set(data)
         if len(distinct) > 1:
             raise ValueError("unary model needs a single repeated byte")
         sym = distinct.pop() if distinct else 0
-        return UnaryModel(params), 1, sym
+        return 1, sym
     raise CliError(f"unknown model {kind!r}", EXIT_USAGE)
 
 
@@ -158,23 +157,23 @@ def _model_from_header(header):
 def _encode_container(data, params, args, freq_file=None):
     """Encode a byte message with the coding flags of args; returns the
     container bytes."""
-    ar = not args.no_ar
-    model, alphabet_size, descriptor = _build_encode_model(
-        args.model, data, params, freq_file
-    )
-    writer = DigitWriter(params)
-    enc = Encoder(model, ar=ar)
-    enc.run(repeat(0, len(data)) if model.kind == "unary" else data, writer)
-    writer.push_digits(enc.finish(flush=args.flush))
+    alphabet_size, descriptor = _build_encode_model(args.model, data, params, freq_file)
     header = ContainerHeader(
         params=params,
-        ar=ar,
+        ar=not args.no_ar,
         flush=args.flush,
         model_kind=args.model,
         alphabet_size=alphabet_size,
         model_data=descriptor,
-        digit_count=writer.digit_count,
+        digit_count=0,
     )
+    # Built from the header, as padc decode does, so both ends agree.
+    model = _model_from_header(header)
+    writer = DigitWriter(params)
+    enc = Encoder(model, ar=header.ar)
+    enc.run(repeat(0, len(data)) if model.kind == "unary" else data, writer)
+    writer.push_digits(enc.finish(flush=header.flush))
+    header.digit_count = writer.digit_count
     return write_container(header, writer.to_bytes())
 
 

@@ -20,14 +20,14 @@ the width floor; the decoder resolves the same choice from its window.
 This narrowing step is also the only escape route when straddle
 renormalization is disabled (ar=False).
 
-The module functions renorm_prefix, straddle_check, straddle_fold and
-straddle_flush are the reference transitions.  Encoder.run and
-Decoder.run (step() and next_symbol() are one-symbol runs) keep the
-state in local variables over a whole message, do prefix renorm and
-folds as inline integer arithmetic, and apply a run of k folds as one
-index operation.  The encoder resolves straddle exits and the valve's
-prefix through the reference functions, so tools that wrap those names
-still see those rarer events.  For every P the encoder collects the
+Encoder.run and Decoder.run (step() and next_symbol() are one-symbol
+runs) keep the state in local variables over a whole message, do prefix
+renorm and folds as inline integer arithmetic, and apply a run of k
+folds as one index operation; padc.reference holds the per-event
+transitions they are tested against.  The encoder resolves straddle
+exits and the valve's prefix through two of those, renorm_prefix and
+straddle_flush, so tools that wrap those names in this module still see
+those rarer events.  For every P the encoder collects the
 digits it emits as one base-P number and hands it to
 DigitWriter.push_number; the decoder reads stream digits ahead of its
 window, _READ_DIGITS at a time with DigitReader.value, and takes the
@@ -40,18 +40,12 @@ distinct states are independent.
 from bisect import bisect_right
 from itertools import repeat
 
-from .core import (
-    GridParams,
-    common_path_len,
-    interval_width,
-    leading_path_digits,
-    prefix_rescale,
-    shortest_path_point,
-    squeeze_second_digit,
-    to_path,
-    trimmed_len,
-)
+from .core import GridParams, interval_width, shortest_path_point
 from .digitio import DigitReader, DigitWriter
+
+# perfbench's tracer counts valves and straddle exits by wrapping these two
+# names in this module, so the encoder still calls them once per event.
+from .reference import renorm_prefix, straddle_flush
 
 # Emitted digits are pushed to the writer once this many pile up.
 _PUSH_DIGITS = 512
@@ -99,93 +93,6 @@ class CoderState:
 
     def as_tuple(self):
         return (self.l, self.r, self.pivot, self.pending)
-
-
-def renorm_prefix(state: CoderState):
-    """Emit the edges' shared leading path digits and shift them out.
-
-    No-op (empty emission) when the edges already disagree at the first
-    digit.  Must not run while a fold is pending: the shared-prefix claim
-    only holds for unfolded intervals.
-    """
-    assert state.pending == 0
-    n = common_path_len(state.l, state.r, state.params)
-    if n == 0:
-        return []
-    out = list(leading_path_digits(state.l, n, state.params))
-    state.l = prefix_rescale(state.l, n, state.params)
-    state.r = prefix_rescale(state.r, n, state.params)
-    return out
-
-
-def straddle_check(l: int, r: int, params: GridParams) -> bool:
-    """True when the interval hugs a level-1 point within its innermost
-    level-2 neighbourhood: l's path starts (n-1, P-1, ...) and r's path
-    starts (n, 0, ...)."""
-    if params.N < 2:
-        return False
-    top = params.powers[params.N - 1]
-    sub = params.powers[params.N - 2]
-    if r // top - l // top != 1:
-        return False
-    return (l // sub) % params.P == params.P - 1 and (r // sub) % params.P == 0
-
-
-def straddle_fold(state: CoderState):
-    """Fold the interval around the straddled level-1 point.
-
-    Sets the pivot on first use, bumps the pending count, and removes
-    path digit 1 from both edges (appending a zero at the bottom), which
-    doubles the interval's width without emitting anything.
-    """
-    params = state.params
-    if state.pivot == 0:
-        state.pivot = state.r // params.powers[params.N - 1]
-    state.pending += 1
-    state.l = squeeze_second_digit(state.l, params)
-    state.r = squeeze_second_digit(state.r, params)
-
-
-def exits_left(pivot: int, l: int, params: GridParams) -> bool:
-    """Interval now lies at or right of the pivot point."""
-    return l // params.powers[params.N - 1] >= pivot
-
-
-def exits_right(pivot: int, r: int, params: GridParams) -> bool:
-    """Interval now lies left of the pivot point (r at most the pivot).
-
-    r == pivot * P**(N-1) means the right edge sits exactly on the
-    pivot, which still puts the whole half-open interval on its left.
-    """
-    top = params.powers[params.N - 1]
-    return r // top < pivot or r == pivot * top
-
-
-def straddle_flush(state: CoderState):
-    """Resolve pending folds once the interval has left the pivot.
-
-    Exit to the left of the interval (interval right of pivot): the
-    deferred digits are the pivot followed by pending zeros.  Exit to
-    the right (interval left of pivot): pivot-1 followed by pending
-    copies of P-1.  Both edges then shed one path digit.  Returns None
-    while the interval still straddles the pivot.  The two exits cannot
-    both apply to a nonempty interval; left is checked first, which also
-    resolves the r = 0 right edge correctly.
-    """
-    params = state.params
-    assert state.pending > 0
-    if exits_left(state.pivot, state.l, params):
-        out = [state.pivot] + [0] * state.pending
-    elif exits_right(state.pivot, state.r, params):
-        out = [state.pivot - 1] + [params.P - 1] * state.pending
-    else:
-        return None
-    top = params.powers[params.N - 1]
-    state.l = (state.l % top) * params.P
-    state.r = (state.r % top) * params.P
-    state.pivot = 0
-    state.pending = 0
-    return out
 
 
 class Encoder:
@@ -352,14 +259,17 @@ class Encoder:
                     self.flushes += 1
                     self.flush_digits += len(flushed)
             if st.pending == 0:
-                q = st.l if flush == "left" else shortest_path_point(
-                    st.l, st.r, self.params
-                )
-                path = to_path(q, self.params)
+                P, n, pw = self.params.P, self.params.N, self.params.powers
                 if flush == "left":
-                    out.extend(path.digits)
+                    q = st.l
                 else:
-                    out.extend(path.digits[: trimmed_len(path)])
+                    # Trailing zeros of the path are the low index digits;
+                    # a final point of 0 emits nothing.
+                    q = shortest_path_point(st.l, st.r, self.params)
+                    while n and q % P == 0:
+                        q //= P
+                        n -= 1
+                out.extend(q // pw[j] % P for j in range(n - 1, -1, -1))
             else:
                 out.append(st.pivot)
         self.finished = True

@@ -1,13 +1,11 @@
-"""Primitives for the ring of integers mod P**N viewed as digit paths.
+"""Grid arithmetic for the ring of integers mod P**N.
 
 An index k in [0, P**N) names one of the P**N grid points that subdivide
-the unit interval.  Its *path* is the base-P digit vector of k read most
-significant digit first: path digit j equals index digit N-1-j.  Read as
-a polynomial in P (least significant coefficient first) the path is again
-a number in [0, P**N), so the two views are exchanged by reversing digit
-order.  Two indexes share the first n path digits exactly when their
-paths, as numbers, differ by a multiple of P**n; that valuation is what
-the coder uses to decide how many digits can be emitted.
+the unit interval, and an interval [l, r) of indexes (r = 0 standing for
+P**N) is the coder's state.  This module holds the grid parameters and
+the interval arithmetic the coder runs: width and the point with the
+shortest path.  A point's path is its base-P digits read most
+significant first; padc.reference spells out that notation.
 
 All functions here are pure and all values immutable, so they are safe
 to share between threads.
@@ -58,103 +56,9 @@ class GridParams:
         )
 
 
-@dataclass(frozen=True)
-class DigitVec:
-    """Base-P digit sequence in path order (coefficient of P**0 first)."""
-
-    digits: tuple
-    p: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "digits", tuple(self.digits))
-        for d in self.digits:
-            if not 0 <= d < self.p:
-                raise ValueError(f"digit {d} out of range for base {self.p}")
-
-    def __len__(self):
-        return len(self.digits)
-
-    def __getitem__(self, i: int) -> int:
-        return self.digits[i]
-
-    @property
-    def value(self) -> int:
-        """The vector read as a number: sum of digit[j] * P**j."""
-        v = 0
-        for d in reversed(self.digits):
-            v = v * self.p + d
-        return v
-
-    @classmethod
-    def from_value(cls, value: int, p: int, n: int) -> "DigitVec":
-        if not 0 <= value < p ** n:
-            raise ValueError(f"value {value} out of range for {n} base-{p} digits")
-        digits = []
-        for _ in range(n):
-            digits.append(value % p)
-            value //= p
-        return cls(tuple(digits), p)
-
-
 def _check_index(k: int, params: GridParams) -> None:
     if not 0 <= k < params.size:
         raise ValueError(f"index {k} outside ring of size {params.size}")
-
-
-def to_path(a: int, params: GridParams) -> DigitVec:
-    """Path of grid index `a`: its base-P digits in reversed order."""
-    _check_index(a, params)
-    digits = []
-    v = a
-    for _ in range(params.N):
-        digits.append(v % params.P)
-        v //= params.P
-    digits.reverse()
-    return DigitVec(tuple(digits), params.P)
-
-
-def to_index(x: DigitVec) -> int:
-    """Grid index of a path: reverse the digits back."""
-    k = 0
-    for d in x.digits:
-        k = k * x.p + d
-    return k
-
-
-def digit_reverse(k: int, params: GridParams) -> int:
-    """Value of to_path(k); its own inverse for a fixed grid."""
-    _check_index(k, params)
-    v = 0
-    for _ in range(params.N):
-        v = v * params.P + k % params.P
-        k //= params.P
-    return v
-
-
-def ord_p(x: int, p: int) -> int:
-    """Largest r with p**r dividing x.  Undefined (rejected) for x <= 0."""
-    if x <= 0:
-        raise ValueError("ord_p requires a positive argument")
-    r = 0
-    while x % p == 0:
-        x //= p
-        r += 1
-    return r
-
-
-def prefix_agreement(x: int, y: int, params: GridParams) -> int:
-    """Shared leading path digits of two paths given by their values.
-
-    N when equal, otherwise the valuation of the difference.  Because the
-    valuation of a nonzero ring element is below N, plain integer
-    subtraction of the smaller from the larger gives the same answer as
-    ring subtraction.
-    """
-    _check_index(x, params)
-    _check_index(y, params)
-    if x == y:
-        return params.N
-    return ord_p(abs(x - y), params.P)
 
 
 def _check_interval(l: int, r: int, params: GridParams) -> None:
@@ -162,113 +66,6 @@ def _check_interval(l: int, r: int, params: GridParams) -> None:
     _check_index(r, params)
     if r != 0 and r <= l:
         raise ValueError(f"empty interval [{l}, {r})")
-
-
-def common_path_len(l: int, r: int, params: GridParams) -> int:
-    """Length of the path prefix shared by every point of [l, r).
-
-    r = 0 denotes P**N, so (0, 0) is the full interval.  Equals the
-    number of leading base-P digits that the indexes l and r-1 share,
-    which is the same as prefix_agreement of their paths.
-    """
-    _check_interval(l, r, params)
-    r1 = (r - 1) % params.size
-    if l == r1:
-        return params.N
-    if params.P == 2:
-        return params.N - (l ^ r1).bit_length()
-    n = 0
-    scale = params.size // params.P
-    while scale > 1 and l // scale == r1 // scale:
-        n += 1
-        scale //= params.P
-    # scale == 1 with equal prefixes would mean l == r1, handled above.
-    return n
-
-
-def path_digit(k: int, i: int, params: GridParams) -> int:
-    """Path digit i of index k (digit N-1-i of k in base P)."""
-    return (k // params.powers[params.N - 1 - i]) % params.P
-
-
-def leading_path_digits(k: int, n: int, params: GridParams) -> tuple:
-    """First n path digits of index k, in emission order."""
-    return tuple(path_digit(k, i, params) for i in range(n))
-
-
-def prefix_rescale(k: int, n: int, params: GridParams) -> int:
-    """Drop the first n path digits of index k and re-lift to level N.
-
-    Index form of lift(res(path, n), n): keep the low N-n index digits
-    and shift them up by n places.
-    """
-    return (k % params.powers[params.N - n]) * params.powers[n]
-
-
-def squeeze_second_digit(k: int, params: GridParams) -> int:
-    """Remove path digit 1 of index k and append a zero digit.
-
-    Index form of lift(cut(path, 1, 1), 1): digit N-2 of the index is
-    dropped and the part below it shifts up one place.
-    """
-    top = params.powers[params.N - 1]
-    return (k // top) * top + (k % params.powers[params.N - 2]) * params.P
-
-
-def take_digits(x: DigitVec, j: int = None) -> tuple:
-    """First j digits of x in stream order (all digits when j is omitted)."""
-    if j is None:
-        return x.digits
-    if not 0 <= j <= len(x):
-        raise ValueError(f"cannot take {j} digits from a vector of {len(x)}")
-    return x.digits[:j]
-
-
-def drop_digits(x: DigitVec, j: int) -> DigitVec:
-    """Drop the first j digits of x, shifting the rest down."""
-    if not 0 <= j <= len(x):
-        raise ValueError(f"cannot drop {j} digits from a vector of {len(x)}")
-    return DigitVec(x.digits[j:], x.p)
-
-
-def lift(x: DigitVec, j: int) -> DigitVec:
-    """Append j zero digits (j >= 0) or remove |j| trailing zeros (j < 0).
-
-    Appending does not change the vector's value, only its level; a
-    negative lift is rejected unless the removed digits are all zero.
-    """
-    if j >= 0:
-        return DigitVec(x.digits + (0,) * j, x.p)
-    if j < -len(x):
-        raise ValueError(f"cannot remove {-j} digits from a vector of {len(x)}")
-    tail = x.digits[len(x) + j:]
-    if any(tail):
-        raise ValueError("negative lift over nonzero digits")
-    return DigitVec(x.digits[: len(x) + j], x.p)
-
-
-def cut_digits(x: DigitVec, pos: int, m: int) -> DigitVec:
-    """Remove m digits starting at position pos and shrink the vector."""
-    if pos < 0 or m < 0 or pos + m > len(x):
-        raise ValueError(f"cut({pos}, {m}) out of range for length {len(x)}")
-    return DigitVec(x.digits[:pos] + x.digits[pos + m:], x.p)
-
-
-def trimmed_len(x: DigitVec) -> int:
-    """Digit count up to and including the last nonzero digit.
-
-    0 for the all-zero vector: a zero path emits nothing, since readers
-    zero-extend past the end of a stream.
-    """
-    for j in range(len(x) - 1, -1, -1):
-        if x.digits[j]:
-            return j + 1
-    return 0
-
-
-def joint_trimmed_len(x: DigitVec, y: DigitVec) -> int:
-    """Highest level a pair of paths needs: max of the trimmed lengths."""
-    return max(trimmed_len(x), trimmed_len(y))
 
 
 def interval_width(l: int, r: int, params: GridParams) -> int:

@@ -18,18 +18,20 @@ import random
 import time
 
 from padc import (
-    DigitVec,
     Encoder,
     GridParams,
     HuffmanModel,
     StaticModel,
     UnaryModel,
-    common_path_len,
     decode,
     encode,
     interval_width,
-    prefix_agreement,
     shortest_path_point,
+)
+from padc.reference import (
+    DigitVec,
+    common_path_len,
+    prefix_agreement,
     take_digits,
     to_index,
     to_path,

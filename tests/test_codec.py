@@ -16,14 +16,20 @@ from padc import (
     decode,
     encode,
     interval_width,
+    shortest_path_point,
+    width_floor,
+)
+from padc.reference import (
+    exits_left,
+    exits_right,
     renorm_prefix,
+    squeeze_second_digit,
     straddle_check,
     straddle_flush,
     straddle_fold,
-    width_floor,
+    to_path,
+    trimmed_len,
 )
-from padc.codec import exits_left, exits_right
-from padc.core import squeeze_second_digit
 from padc.oracles import rice_encode
 from helpers import random_binary_book, random_trial
 
@@ -163,7 +169,7 @@ class TestGolombRice:
 
     def test_structure(self):
         # floor(W / 2^3) leading zeros, then the 4-digit path of -(W%8 + 1)
-        from padc import to_path
+        from padc.reference import to_path
 
         for w in (3, 8, 20, 100):
             out = encode([0] * w, UnaryModel(P2N4), flush="left")
@@ -288,6 +294,81 @@ class TestRoundtrips:
         digits = list(enc.finish())
         assert 2000 <= len(digits) <= 2005
         assert decode(digits, StaticModel(counts, params)) == msg
+
+
+class _FinalInterval:
+    """Stub model whose end marker leaves a chosen final interval."""
+
+    eom = "end"
+
+    def __init__(self, params, l, r):
+        self.params = params
+        self.final = (l, r)
+
+    def validate_for_coding(self):
+        pass
+
+    def code(self, s, l, r):
+        return self.final
+
+
+def _finish(params, l, r, pivot, pending, flush):
+    enc = Encoder(_FinalInterval(params, l, r))
+    enc.state.pivot, enc.state.pending = pivot, pending
+    return enc.finish(flush=flush)
+
+
+def _reference_finish(params, l, r, pivot, pending, flush):
+    """The final digits in the paper's notation, one event at a time."""
+    st = state(params, l, r, pivot, pending)
+    out = []
+    if pending:
+        flushed = straddle_flush(st)
+        if flushed is None:
+            return [pivot]
+        out += flushed
+    if flush == "left":
+        return out + list(to_path(st.l, params).digits)
+    path = to_path(shortest_path_point(st.l, st.r, params), params)
+    return out + list(path.digits[: trimmed_len(path)])
+
+
+class TestFinish:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_matches_reference_on_random_end_states(self, p):
+        rng = random.Random(60 + p)
+        for _ in range(400):
+            params = GridParams(p, rng.randrange(2, 9))
+            size, top = params.size, params.powers[params.N - 1]
+            l = rng.randrange(size)
+            r = rng.randrange(l + 1, size + 1) % size
+            pivot, pending = 0, 0
+            if rng.random() < 0.4:
+                # A folded interval stays inside the two cells around its
+                # pivot, short of the right one's end.
+                pivot, pending = rng.randrange(1, p), rng.randrange(1, 4)
+                l = rng.randrange((pivot - 1) * top, (pivot + 1) * top - 1)
+                r = rng.randrange(l + 1, (pivot + 1) * top)
+            for flush in ("min", "left"):
+                args = (params, l, r, pivot, pending, flush)
+                assert _finish(*args) == _reference_finish(*args)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_edge_cases(self, p):
+        params = GridParams(p, 6)
+        n, top = params.N, params.powers[params.N - 1]
+        q = (p - 1) * top + params.powers[n - 2]  # path (p-1, 1, 0, 0, 0, 0)
+        cases = [
+            ((0, 5, 0, 0, "min"), []),  # a final point of 0 emits nothing
+            ((0, 5, 0, 0, "left"), [0] * n),
+            ((q, q + 1, 0, 0, "min"), [p - 1, 1]),  # zero low digits trimmed
+            ((q, q + 1, 0, 0, "left"), [p - 1, 1] + [0] * (n - 2)),
+            ((top - 1, top + 1, 1, 3, "min"), [1]),  # still on the pivot
+            ((top - 1, top + 1, 1, 3, "left"), [1]),
+        ]
+        for args, expected in cases:
+            assert _finish(params, *args) == expected
+            assert _reference_finish(params, *args) == expected
 
 
 class TestLockstep:

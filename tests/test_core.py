@@ -2,29 +2,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padc import (
+from padc import GridParams, interval_width, shortest_path_point
+from padc.reference import (
     DigitVec,
-    GridParams,
     common_path_len,
     cut_digits,
     digit_reverse,
     drop_digits,
-    interval_width,
     joint_trimmed_len,
+    leading_path_digits,
     lift,
     ord_p,
+    path_digit,
     prefix_agreement,
-    shortest_path_point,
+    prefix_rescale,
+    squeeze_second_digit,
     take_digits,
     to_index,
     to_path,
     trimmed_len,
-)
-from padc.core import (
-    leading_path_digits,
-    path_digit,
-    prefix_rescale,
-    squeeze_second_digit,
 )
 from padc.oracles import brute_common_prefix, brute_select_point
 

@@ -31,13 +31,15 @@ from padc import (
     decode,
     encode,
     interval_width,
+    width_floor,
+)
+from padc.reference import (
     renorm_prefix,
+    squeeze_second_digit,
     straddle_check,
     straddle_flush,
     straddle_fold,
-    width_floor,
 )
-from padc.core import squeeze_second_digit
 from helpers import random_binary_book, random_pary_book, scaled_counts
 
 COUNTERS = ("prefix_digits", "flushes", "flush_digits", "folds", "valves")
