@@ -1,10 +1,17 @@
 """Ordered base-P digit streams and the self-describing container format.
 
-For P = 2 digits are packed eight per byte, first-pushed digit in the
-most significant bit, final byte zero-padded; the padding is invisible
-because readers zero-extend past the declared digit count anyway.  For
-P > 2 each digit occupies one byte (clarity over density; those grids
-are an experimental mode).  This packing rule lives here alone: the
+Digits are stored in blocks, under one rule for every P.  A block holds
+B digits, stored as one big-endian base-P number in
+K = ceil(bitlen(P**B - 1) / 8) bytes, first digit most significant; B
+is the smallest B in 1..512 that minimises K/B.  That gives
+(B, K) = (8, 1), (429, 85), (410, 119), (379, 133) for P = 2, 3, 5, 7,
+so P = 2 packs eight digits per byte, first digit in the most
+significant bit.  The last r = count mod B digits take
+k_r = ceil(bitlen(P**r - 1) / 8) bytes: they are zero-padded at the low
+end to the d_r digits that fit, d_r the largest d with
+P**d <= 256**k_r, so the padding reads as the zeros readers return past
+the declared digit count anyway.  Readers reject a block outside its
+range and nonzero padding.  This packing rule lives here alone: the
 coder hands runs of digits over as one base-P number
 (DigitWriter.push_number) and reads them back in chunks the same way
 (DigitReader.value).
@@ -12,7 +19,8 @@ coder hands runs of digits over as one base-P number
 Container layout (multi-byte integers little-endian):
 
     bytes 0-3   magic "PADC"
-    byte  4     version (1)
+    byte  4     version (2; readers refuse version 1, which stored P > 2
+                digits one per byte)
     byte  5     P
     byte  6     N
     byte  7     flags: bit0 = midpoint renorm enabled, bit1 = flush mode
@@ -26,7 +34,7 @@ Container layout (multi-byte integers little-endian):
                   adaptive -> empty
                   unary    -> 1 byte, the repeated symbol's value
     ...         u64 digit count
-    ...         packed digits
+    ...         digit blocks, then the final partial block (big-endian)
 
 Writers and readers are single-owner objects; distinct instances are
 independent.
@@ -41,7 +49,7 @@ from itertools import product
 from .core import GridParams
 
 MAGIC = b"PADC"
-VERSION = 1
+VERSION = 2
 
 FLAG_AR = 0x01
 FLAG_FLUSH_LEFT = 0x02
@@ -51,14 +59,51 @@ MODEL_KINDS = {v: k for k, v in MODEL_IDS.items()}
 
 _HEADER = struct.Struct("<4sBBBBBH")
 _COUNT = struct.Struct("<Q")
+_MAX_BLOCK = 512
 
 
 class ContainerError(ValueError):
     """Raised for malformed or unsupported container bytes."""
 
 
-# P=2 digit values -> ASCII "0"/"1", for reading a digit list as a number.
+# P=2 digit values <-> ASCII "0"/"1", for reading digits as a number.
 _TO_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_CHARS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _nbytes(v):
+    return (v.bit_length() + 7) // 8
+
+
+@cache
+def _block(P):
+    """(B, K): B digits per block in K bytes, the B in 1..512 with the
+    least K/B, ties to the smaller B."""
+    best = (1, _nbytes(P - 1))
+    top = P
+    for b in range(2, _MAX_BLOCK + 1):
+        top *= P
+        k = _nbytes(top - 1)
+        if k * best[0] < best[1] * b:
+            best = (b, k)
+    return best
+
+
+@cache
+def _tail(P, r):
+    """(k_r, d_r) for a final block of r digits: its bytes, and the
+    digits it is zero-padded to."""
+    k = _nbytes(P**r - 1)
+    d = r
+    while P ** (d + 1) <= 256**k:
+        d += 1
+    return k, d
+
+
+@cache
+def _powers(P):
+    """P**i for i = 0 .. B."""
+    return tuple(P**i for i in range(_block(P)[0] + 1))
 
 
 @cache
@@ -69,69 +114,118 @@ def _digit_table(P):
     return k, [bytes(t) for t in product(range(P), repeat=k)]
 
 
+def _bit_list(v, n):
+    """The n binary digits of v < 2**n as a list, first most significant."""
+    return list(format(v | 1 << n, "b")[1:].encode().translate(_FROM_CHARS))
+
+
+def _base_digits(v, n, P):
+    """The n base-P digits of v < P**n as bytes, first most significant."""
+    k, table = _digit_table(P)
+    if n <= k:
+        return table[v][k - n :]
+    q, head = divmod(n, k)
+    parts = []
+    for _ in range(q):
+        v, low = divmod(v, len(table))
+        parts.append(table[low])
+    parts.append(table[v][k - head :])
+    return b"".join(reversed(parts))
+
+
 class DigitWriter:
     def __init__(self, params: GridParams):
         self.params = params
         self.digit_count = 0
-        self._buf = bytearray()
-        self._acc = 0
-        self._nbits = 0
+        self._B, self._K = _block(params.P)
+        self._buf = bytearray()  # the full blocks
+        self._acc = 0  # the digit_count % B digits after them, as a number
 
     def push_number(self, value: int, n: int):
         """Append the n base-P digits of value, first digit most
         significant; the inverse of DigitReader.value."""
-        P = self.params.P
-        if not 0 <= value < P**n:
+        P, B, K = self.params.P, self._B, self._K
+        pn = P**n
+        if not 0 <= value < pn:
             raise ValueError(f"value {value} does not fit {n} base-{P} digits")
+        q, rest = divmod(self.digit_count % B + n, B)
         self.digit_count += n
-        if P > 2:
-            k, table = _digit_table(P)
-            q, head = divmod(n, k)
-            parts = []
-            for _ in range(q):
-                value, low = divmod(value, len(table))
-                parts.append(table[low])
-            parts.append(table[value][k - head :])
-            self._buf += b"".join(reversed(parts))
+        acc = self._acc * pn + value
+        if not q:
+            self._acc = acc
             return
-        acc = (self._acc << n) | value
-        nbits = self._nbits + n
-        keep = nbits & 7
-        if nbits > 7:
-            self._buf += (acc >> keep).to_bytes(nbits >> 3, "big")
-        self._acc = acc & ((1 << keep) - 1)
-        self._nbits = keep
+        acc, self._acc = divmod(acc, P**rest)
+        if P == 2:  # 8-digit blocks are bytes: q of them convert at once
+            self._buf += acc.to_bytes(q, "big")
+            return
+        top = _powers(P)[B]
+        blocks = []
+        for _ in range(q):
+            acc, v = divmod(acc, top)
+            blocks.append(v.to_bytes(K, "big"))
+        self._buf += b"".join(reversed(blocks))
 
     def push_digits(self, digits):
         digits = bytes(digits)  # ValueError for values outside 0..255
-        if digits and max(digits) >= self.params.P:
-            raise ValueError(f"digit {max(digits)} out of range for P={self.params.P}")
-        if self.params.P == 2:
+        P = self.params.P
+        if digits and max(digits) >= P:
+            raise ValueError(f"digit {max(digits)} out of range for P={P}")
+        if P == 2:
             self.push_number(int(b"0" + digits.translate(_TO_CHARS), 2), len(digits))
-        else:
-            self.digit_count += len(digits)
-            self._buf += digits
+            return
+        for i in range(0, len(digits), self._B):
+            piece = digits[i : i + self._B]
+            v = 0
+            for d in piece:
+                v = v * P + d
+            self.push_number(v, len(piece))
 
     def digits(self) -> list:
         """Every digit pushed so far, in order."""
-        if self.params.P > 2:
-            return list(self._buf)
-        v = int.from_bytes(self._buf, "big") << self._nbits | self._acc
-        return list(map(int, format(v | 1 << self.digit_count, "b")[1:]))
+        P, B, K, n = self.params.P, self._B, self._K, self.digit_count
+        if P == 2:
+            return _bit_list(int.from_bytes(self._buf, "big") << n % B | self._acc, n)
+        buf = self._buf
+        full = b"".join(
+            _base_digits(int.from_bytes(buf[i : i + K], "big"), B, P)
+            for i in range(0, len(buf), K)
+        )
+        return list(full + _base_digits(self._acc, n % B, P))
 
     def to_bytes(self) -> bytes:
-        out = bytes(self._buf)
-        if self._nbits:
-            out += bytes([self._acc << (8 - self._nbits)])
-        return out
+        P, r = self.params.P, self.digit_count % self._B
+        k, d = _tail(P, r)
+        return bytes(self._buf) + (self._acc * P ** (d - r)).to_bytes(k, "big")
 
 
 class DigitReader:
-    """Sequential digit reader; reads past the declared count return 0."""
+    """Sequential digit reader; reads past the declared count return 0.
+
+    Raises ContainerError for a block outside its range and for nonzero
+    padding digits."""
 
     def __init__(self, params: GridParams, payload: bytes, declared_count: int):
-        if params.P > 2 and payload[:declared_count].translate(None, bytes(range(params.P))):
-            raise ContainerError(f"payload holds a digit outside base {params.P}")
+        P = params.P
+        B, K = _block(P)
+        full, r = divmod(declared_count, B)
+        k, d = _tail(P, r)
+        last = int.from_bytes(payload[full * K : full * K + k], "big")
+        if last >= P**d:
+            raise ContainerError(f"final digit block outside base {P}")
+        if last % P ** (d - r):
+            raise ContainerError("nonzero padding digits after the final digit")
+        if P > 2:
+            # Every block as a B-digit number, the final one zero-extended.
+            self._pw = pw = _powers(P)
+            blocks = [
+                int.from_bytes(payload[i : i + K], "big") for i in range(0, full * K, K)
+            ]
+            if blocks and max(blocks) >= pw[B]:
+                raise ContainerError(f"digit block outside base {P}")
+            if r:
+                blocks.append(last // P ** (d - r) * pw[B - r])
+            self._blocks = blocks
+        self._B = B
         self.params = params
         self.payload = payload
         self.declared_count = declared_count
@@ -147,29 +241,46 @@ class DigitReader:
         self.consumed += 1
         return self.value(self.consumed - 1, 1)
 
-    def get_digits(self, n: int):
-        return [self.get_digit() for _ in range(n)]
+    def get_digits(self, n: int) -> list:
+        start = self.consumed
+        self.consumed += n
+        P = self.params.P
+        if P == 2:
+            return _bit_list(self.value(start, n), n)
+        B, blocks = self._B, self._blocks
+        i = start // B
+        out = b"".join(
+            _base_digits(v, B, P) for v in blocks[i : (start + n + B - 1) // B]
+        )[start - i * B : start - i * B + n]
+        return list(out.ljust(n, b"\0"))
 
     def value(self, start: int, n: int) -> int:
         """Digits start .. start+n-1 read as one base-P number, first digit
         most significant; digits at or past the declared count read as
         zero.  Does not move the read position."""
         P = self.params.P
-        end = max(start, min(start + n, self.declared_count))
         if P == 2:
+            end = max(start, min(start + n, self.declared_count))
             lo, hi = start >> 3, (end + 7) >> 3
             v = int.from_bytes(self.payload[lo:hi], "big") >> ((hi << 3) - end)
             return (v & ((1 << (end - start)) - 1)) << (start + n - end)
-        v = 0
-        for d in self.payload[start:end]:
-            v = v * P + d
-        return v * P ** (start + n - end)
+        B, blocks, pw = self._B, self._blocks, self._pw
+        end = min(start + n, len(blocks) * B)
+        if end <= start:
+            return 0
+        i, j = divmod(start, B)
+        v = blocks[i] % pw[B - j]  # digits start .. e-1
+        e = start - j + B
+        while e < end:
+            v = v * pw[B] + blocks[e // B]
+            e += B
+        return v // pw[e - end] * P ** (start + n - end)
 
 
 def payload_length(params: GridParams, digit_count: int) -> int:
-    if params.P == 2:
-        return (digit_count + 7) // 8
-    return digit_count
+    B, K = _block(params.P)
+    full, r = divmod(digit_count, B)
+    return full * K + _tail(params.P, r)[0]
 
 
 @dataclass

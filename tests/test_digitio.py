@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,8 @@ from padc import (
     read_container,
     write_container,
 )
-from padc.digitio import payload_length
+from padc.cli import main
+from padc.digitio import _block, payload_length
 
 P2N8 = GridParams(2, 8)
 P3N6 = GridParams(3, 6)
@@ -55,10 +57,12 @@ class TestWriterReader:
         with pytest.raises(ValueError):
             w.push_number(3, 1)
 
-    def test_base3_byte_per_digit(self):
+    def test_base3_final_block_padding(self):
+        # 201 in base 3 is 19; three digits take one byte, zero-padded to
+        # the five digits that fit in it: 19 * 3**2.
         w = DigitWriter(P3N6)
         w.push_digits([2, 0, 1])
-        assert w.to_bytes() == bytes([2, 0, 1])
+        assert w.to_bytes() == bytes([19 * 9])
         r = DigitReader(P3N6, w.to_bytes(), 3)
         assert r.get_digits(4) == [2, 0, 1, 0]
 
@@ -109,6 +113,97 @@ class TestWriterReader:
                 w.push_number(v, n)
 
 
+def pack_bits(digits):
+    """Reference P=2 layout: one bit per digit, first digit in the most
+    significant bit, final byte zero-padded."""
+    out = bytearray((len(digits) + 7) // 8)
+    for i, d in enumerate(digits):
+        out[i >> 3] |= d << (7 - (i & 7))
+    return bytes(out)
+
+
+def pack_blocks(digits, P, B):
+    """Reference block layout for P <= 10: each B-digit piece as a
+    big-endian number in the fewest bytes that hold any such piece; a
+    shorter final piece is zero-padded to the digits its bytes can hold."""
+    out = b""
+    for i in range(0, len(digits), B):
+        piece = digits[i : i + B]
+        k = ((P ** len(piece) - 1).bit_length() + 7) // 8
+        d = len(piece)
+        while len(piece) < B and P ** (d + 1) <= 256**k:
+            d += 1
+        text = "".join(map(str, piece)) + "0" * (d - len(piece))
+        out += int(text, P).to_bytes(k, "big")
+    return out
+
+
+def push_in_pieces(w, digits, sizes, as_number):
+    """Push digits to w in pieces of the given sizes (the rest in one
+    piece), alternating push_number and push_digits."""
+    P, i = w.params.P, 0
+    for n in sizes + [len(digits)]:
+        piece = digits[i : i + n]
+        if as_number:
+            w.push_number(int("0" + "".join(map(str, piece)), P), len(piece))
+        else:
+            w.push_digits(piece)
+        as_number = not as_number
+        i += len(piece)
+
+
+class TestBlockLayout:
+    def test_block_sizes(self):
+        assert [_block(P) for P in (2, 3, 5, 7)] == [
+            (8, 1),
+            (429, 85),
+            (410, 119),
+            (379, 133),
+        ]
+        for P in (2, 3, 5, 7, 11):
+            # least bytes per digit, ties to the smaller block
+            size = {b: ((P**b - 1).bit_length() + 7) // 8 for b in range(1, 513)}
+            best = min(size, key=lambda b: (Fraction(size[b], b), b))
+            assert _block(P) == (best, size[best])
+
+    @given(
+        st.lists(st.integers(0, 1), max_size=300),
+        st.lists(st.integers(0, 70), max_size=8),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_base2_bytes_are_plain_bit_packing(self, digits, sizes, as_number):
+        w = DigitWriter(P2N8)
+        push_in_pieces(w, digits, sizes, as_number)
+        assert w.to_bytes() == pack_bits(digits)
+        assert len(w.to_bytes()) == payload_length(P2N8, len(digits))
+
+    @given(st.sampled_from([3, 5, 7]), st.integers(0, 1400), st.randoms())
+    @settings(max_examples=60, deadline=None)
+    def test_dense_blocks_roundtrip(self, P, count, rng):
+        params = GridParams(P, 4)
+        B = _block(P)[0]
+        digits = [rng.randrange(P) for _ in range(count)]
+        sizes = [rng.randrange(B + 40) for _ in range(rng.randrange(8))]
+        w = DigitWriter(params)
+        push_in_pieces(w, digits, sizes, rng.random() < 0.5)
+        payload = w.to_bytes()
+        assert payload == pack_blocks(digits, P, B)
+        assert len(payload) == payload_length(params, count)
+        assert w.digits() == digits
+        r = DigitReader(params, payload, count)
+        padded = digits + [0] * (B + 60)
+        # windows across every block boundary, then random ones; both
+        # run past the declared count
+        windows = [(max(b - 7, 0), rng.randrange(8, B + 50)) for b in range(B, count + B, B)]
+        windows += [(rng.randrange(count + 10), rng.randrange(B + 50)) for _ in range(12)]
+        for start, n in windows:
+            want = int("0" + "".join(map(str, padded[start : start + n])), P)
+            assert r.value(start, n) == want
+        cut = rng.randrange(count + 1)
+        assert r.get_digits(cut) + r.get_digits(count - cut + 5) == padded[: count + 5]
+
+
 def header_for(params, **kw):
     defaults = dict(
         params=params,
@@ -121,6 +216,14 @@ def header_for(params, **kw):
     )
     defaults.update(kw)
     return ContainerHeader(**defaults)
+
+
+def decode_exit_code(tmp_path, capsys, blob):
+    packed = tmp_path / "packed.padc"
+    packed.write_bytes(blob)
+    code = main(["decode", str(packed), str(tmp_path / "out")])
+    assert "bad container" in capsys.readouterr().err
+    return code
 
 
 class TestContainer:
@@ -182,6 +285,13 @@ class TestContainer:
         with pytest.raises(ContainerError, match="version"):
             read_container(bytes(blob))
 
+    def test_version_1_rejected(self, tmp_path, capsys):
+        blob = bytearray(write_container(header_for(P2N8), b""))
+        blob[4] = 1
+        with pytest.raises(ContainerError, match="unsupported version 1"):
+            read_container(bytes(blob))
+        assert decode_exit_code(tmp_path, capsys, bytes(blob)) == 3
+
     def test_nonprime_base(self):
         blob = bytearray(write_container(header_for(P2N8), b""))
         blob[5] = 6
@@ -213,13 +323,36 @@ class TestContainer:
         with pytest.raises(ContainerError, match="trailing"):
             read_container(blob + b"\x00")
 
+    @pytest.mark.parametrize(
+        "P, count, payload, match",
+        [
+            # a full block of 3**429, then a final 1 padded to five digits
+            (3, 430, (3**429).to_bytes(85, "big") + bytes([81]), "block outside"),
+            # ten final digits fill two bytes with no padding; 3**10 is
+            # one past the largest
+            (3, 429 + 10, bytes(85) + (3**10).to_bytes(2, "big"), "final digit block"),
+            # three final digits padded to five: 201 then 01, not 00
+            (3, 429 + 3, bytes(85) + bytes([19 * 9 + 1]), "padding"),
+            (2, 12, bytes([0xAA, 0xA1]), "padding"),
+        ],
+        ids=["full-block", "final-block", "p3-padding", "p2-padding"],
+    )
+    def test_corrupt_payload_rejected(self, tmp_path, capsys, P, count, payload, match):
+        header = header_for(GridParams(P, 10), digit_count=count)
+        blob = write_container(header, payload)
+        with pytest.raises(ContainerError, match=match):
+            read_container(blob)
+        assert decode_exit_code(tmp_path, capsys, blob) == 3
+
     def test_payload_length_mismatch_rejected_on_write(self):
         with pytest.raises(ValueError):
             write_container(header_for(P2N8, digit_count=9), b"\x00")
 
     def test_payload_length_rule(self):
         assert payload_length(GridParams(2, 8), 17) == 3
-        assert payload_length(GridParams(3, 4), 17) == 17
+        # 3**17 - 1 needs 27 bits; 429 digits make one 85-byte block.
+        assert payload_length(GridParams(3, 4), 17) == 4
+        assert payload_length(GridParams(3, 4), 429 + 17) == 85 + 4
 
     @given(st.data())
     @settings(max_examples=120, deadline=None)
