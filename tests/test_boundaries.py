@@ -3,7 +3,8 @@
 The oracles must stay independent of the coder they check, core is the
 bottom of the import graph, and the reference transitions stay out of
 the shipped import graph except for the two names the encoder still
-calls.
+calls.  The container's byte layout stays in digitio, the one module
+that imports struct.
 """
 
 import ast
@@ -63,6 +64,22 @@ def test_only_codec_imports_the_reference_and_only_two_names():
         if m != "reference" and "reference" in padc_imports(m)
     }
     assert users == {"codec": {"renorm_prefix", "straddle_flush"}}
+
+
+def imported_modules(module):
+    """Top-level names of every absolute import in module's source."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_only_digitio_imports_struct():
+    assert [m for m in MODULES if "struct" in imported_modules(m)] == ["digitio"]
 
 
 def top_level_names(module):

@@ -318,6 +318,60 @@ class TestContainer:
             with pytest.raises(ContainerError, match="truncated"):
                 read_container(blob[:cut])
 
+    @pytest.mark.parametrize(
+        "params, kind, size, model_data",
+        [
+            (P3N6, "static", 4, [7, 3, 2, 1, 1]),
+            (P2N8, "huffman", 6, [0, 3, 1, 0, 2, 3]),
+            (P2N8, "unary", 1, 65),
+        ],
+        ids=["static", "huffman", "unary"],
+    )
+    def test_truncated_model_payload_and_count(self, params, kind, size, model_data):
+        payload = bytes(payload_length(params, 12))
+        header = header_for(
+            params,
+            model_kind=kind,
+            alphabet_size=size,
+            model_data=model_data,
+            digit_count=12,
+        )
+        blob = write_container(header, payload)
+        # 11 fixed header bytes: magic, version, P, N, flags, model id, S
+        for cut in range(11, len(blob) - len(payload)):
+            with pytest.raises(ContainerError, match="truncated"):
+                read_container(blob[:cut])
+
+    @pytest.mark.parametrize(
+        "params, kind, size, model_data",
+        [
+            (P2N8, "static", 2, [1, 0, 1]),
+            (P2N8, "static", 2, [1, 2**32, 1]),
+            (P2N8, "static", 2, [1, 1]),
+            (P2N8, "huffman", 2, [1, 256]),
+            (P3N6, "huffman", 2, [1, 1]),
+            (P2N8, "unary", 1, 256),
+            (P2N8, "adaptive", 0x10000, None),
+            (P2N8, "fenwick", 256, None),
+        ],
+        ids=[
+            "count-0",
+            "count-2**32",
+            "S-counts",
+            "length-256",
+            "huffman-p3",
+            "unary-256",
+            "alphabet-0x10000",
+            "unknown-kind",
+        ],
+    )
+    def test_write_rejects_out_of_range(self, params, kind, size, model_data):
+        header = header_for(
+            params, model_kind=kind, alphabet_size=size, model_data=model_data
+        )
+        with pytest.raises(ValueError):
+            write_container(header, b"")
+
     def test_trailing_garbage(self):
         blob = write_container(header_for(P2N8), b"")
         with pytest.raises(ContainerError, match="trailing"):
