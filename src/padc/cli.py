@@ -54,6 +54,8 @@ def _check_grid(p, n):
         params = GridParams(p, n)
     except ValueError as e:
         raise CliError(str(e), EXIT_USAGE) from None
+    if p > 255:
+        raise CliError(f"P must fit the container's one-byte field, got {p}", EXIT_USAGE)
     if p == 2 and not 4 <= n <= 31:
         raise CliError(f"N must be in [4, 31] for P=2, got {n}", EXIT_USAGE)
     if n < 2:
@@ -62,7 +64,7 @@ def _check_grid(p, n):
 
 
 def _scaled_counts(counts, cap):
-    counts = [max(1, c) for c in counts]
+    """Halve counts, each at least 1, until their total fits cap."""
     while sum(counts) > cap:
         shrunk = [max(1, c // 2) for c in counts]
         if shrunk == counts:
@@ -92,7 +94,7 @@ def _read_freq_file(path):
 
 
 def _build_encode_model(kind, data, params, freq_file):
-    """Alphabet size and container descriptor of the model for a byte message."""
+    """Alphabet size and container descriptor of a --model choice for data."""
     cap = params.powers[params.N - 2]
     if kind == "adaptive":
         if BYTE_ALPHABET + 1 > cap:
@@ -101,43 +103,31 @@ def _build_encode_model(kind, data, params, freq_file):
                 EXIT_USAGE,
             )
         return BYTE_ALPHABET, None
+    if kind == "huffman" and params.P != 2:
+        raise CliError("huffman mode supports P=2 only", EXIT_USAGE)
+    hist = [0] * BYTE_ALPHABET
+    for b in data:
+        hist[b] += 1
     if kind == "static":
         if freq_file is not None:
             counts = _read_freq_file(freq_file)
         else:
-            counts = [0] * BYTE_ALPHABET + [1]  # end marker owns the last slot
-            for b in data:
-                counts[b] += 1
-            counts = [c + 1 for c in counts[:-1]] + [1]
-        counts = _scaled_counts(counts, cap)
-        return BYTE_ALPHABET, counts
-    if kind == "huffman":
-        if params.P != 2:
-            raise CliError("huffman mode supports P=2 only", EXIT_USAGE)
-        hist = [0] * BYTE_ALPHABET
-        for b in data:
-            hist[b] += 1
-        present = [s for s, c in enumerate(hist) if c]
-        if len(present) < 2:
-            # Degenerate books are padded to a complete depth-1 tree.
-            a = present[0] if present else 0
-            b = (a + 1) % BYTE_ALPHABET
-            lengths = [0] * BYTE_ALPHABET
-            lengths[a] = lengths[b] = 1
-        else:
-            freqs = [hist[s] for s in present]
-            lens = huffman_code_lengths(freqs, max_len=params.N)
-            lengths = [0] * BYTE_ALPHABET
-            for s, ln in zip(present, lens):
-                lengths[s] = ln
-        return BYTE_ALPHABET, lengths
+            counts = [c + 1 for c in hist] + [1]  # end marker owns the last slot
+        return BYTE_ALPHABET, _scaled_counts(counts, cap)
+    present = [s for s, c in enumerate(hist) if c]
+    first = present[0] if present else 0
     if kind == "unary":
-        distinct = set(data)
-        if len(distinct) > 1:
+        if len(present) > 1:
             raise ValueError("unary model needs a single repeated byte")
-        sym = distinct.pop() if distinct else 0
-        return 1, sym
-    raise CliError(f"unknown model {kind!r}", EXIT_USAGE)
+        return 1, first
+    if len(present) < 2:
+        # huffman: a degenerate book takes a neighbouring byte, for a depth-1 tree.
+        present = sorted({first, (first + 1) % BYTE_ALPHABET})
+    lens = huffman_code_lengths([hist[s] or 1 for s in present], max_len=params.N)
+    lengths = [0] * BYTE_ALPHABET
+    for s, ln in zip(present, lens):
+        lengths[s] = ln
+    return BYTE_ALPHABET, lengths
 
 
 def _model_from_header(header):

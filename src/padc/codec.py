@@ -341,7 +341,7 @@ class Decoder:
         # Every read beyond the declared digits plus the initial window
         # is backed by a pending fold the encoder resolves (or trims) later.
         budget = reader.declared_count + N
-        until_end = limit is None and eom is None  # delimited by digit count
+        until_end = eom is None  # delimited by digit count
         append = out.append
         st = self.state
         l, r, pivot, pending = st.l, st.r, st.pivot, st.pending

@@ -78,6 +78,8 @@ def _nbytes(v):
 def _block(P):
     """(B, K): B digits per block in K bytes, the B in 1..512 with the
     least K/B, ties to the smaller B."""
+    if P > 256:
+        raise ValueError(f"base-{P} digits do not fit in a byte")
     best = (1, _nbytes(P - 1))
     top = P
     for b in range(2, _MAX_BLOCK + 1):
@@ -309,6 +311,8 @@ def write_container(header: ContainerHeader, digit_payload: bytes) -> bytes:
         raise ValueError(f"unknown model kind {kind!r}")
     if kind == "huffman" and params.P != 2:
         raise ValueError("huffman containers support P=2 only")
+    if header.flush not in ("min", "left") or not isinstance(header.ar, bool):
+        raise ValueError(f"bad flags: flush={header.flush!r}, ar={header.ar!r}")
     model = [data or 0] if kind == "unary" else list(data or ())
     if kind == "static" and min(model, default=1) < 1:
         raise ValueError("static model count below 1")

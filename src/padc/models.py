@@ -18,6 +18,7 @@ since then.
 """
 
 from bisect import bisect_left, bisect_right, insort
+from heapq import heapify, heappop, heappush
 from itertools import accumulate
 
 from .core import GridParams
@@ -269,9 +270,10 @@ class UnaryModel:
 def huffman_code_lengths(freqs, max_len=None):
     """Binary Huffman code lengths for positive frequencies.
 
-    Two-queue construction over the sorted leaves.  If max_len is given
-    and the optimal tree is deeper, frequencies are flattened (halved,
-    floored at 1) and the tree rebuilt until it fits.
+    Merges the two lightest nodes in the two-queue order, through one heap
+    keyed (weight, 0, symbol) for leaves and (weight, 1, merge index) for
+    merged nodes.  If max_len is given and the optimal tree is deeper,
+    frequencies are flattened (halved, floored at 1) until the tree fits.
     """
     freqs = list(freqs)
     if any(f < 1 for f in freqs):
@@ -284,29 +286,15 @@ def huffman_code_lengths(freqs, max_len=None):
     if max_len is not None and (n - 1).bit_length() > max_len:
         raise ValueError(f"{n} symbols cannot fit codes of length <= {max_len}")
     while True:
-        leaves = sorted(range(n), key=lambda s: (freqs[s], s))
-        q1 = [(freqs[s], (s,)) for s in leaves]
-        q2 = []
-        i = 0
-
-        def pop_min():
-            nonlocal i
-            if i < len(q1) and (not q2 or q1[i][0] <= q2[0][0]):
-                item = q1[i]
-                i += 1
-                return item
-            return q2.pop(0)
-
-        depth = {s: 0 for s in range(n)}
-        remaining = n
-        while remaining > 1:
-            fa, sa = pop_min()
-            fb, sb = pop_min()
+        heap = [(f, 0, s, (s,)) for s, f in enumerate(freqs)]
+        heapify(heap)
+        lengths = [0] * n
+        for k in range(n - 1):
+            fa, _, _, sa = heappop(heap)
+            fb, _, _, sb = heappop(heap)
             for s in sa + sb:
-                depth[s] += 1
-            q2.append((fa + fb, sa + sb))
-            remaining -= 1
-        lengths = [depth[s] for s in range(n)]
+                lengths[s] += 1
+            heappush(heap, (fa + fb, 1, k, sa + sb))
         if max_len is None or max(lengths) <= max_len:
             return lengths
         freqs = [max(1, f // 2) for f in freqs]

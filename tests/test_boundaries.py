@@ -4,7 +4,7 @@ The oracles must stay independent of the coder they check, core is the
 bottom of the import graph, and the reference transitions stay out of
 the shipped import graph except for the two names the encoder still
 calls.  The container's byte layout stays in digitio, the one module
-that imports struct.
+that imports struct, and the CLI builds its models in one place.
 """
 
 import ast
@@ -80,6 +80,22 @@ def imported_modules(module):
 
 def test_only_digitio_imports_struct():
     assert [m for m in MODULES if "struct" in imported_modules(m)] == ["digitio"]
+
+
+def test_cli_builds_models_only_from_the_header():
+    # The encoder and decoder get their model from one factory, so both
+    # ends of a container build the same model.
+    kinds = {"AdaptiveModel", "StaticModel", "HuffmanModel", "UnaryModel"}
+    tree = ast.parse((SRC / "cli.py").read_text())
+    callers = {}
+    for top in tree.body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in kinds:
+                callers.setdefault(getattr(top, "name", None), set()).add(name)
+    assert callers == {"_model_from_header": kinds}
 
 
 def top_level_names(module):

@@ -43,6 +43,27 @@ class TestEncodeDecode:
     def test_single_repeated_byte(self, tmp_path, capsys, model):
         roundtrip(tmp_path, capsys, b"A" * 500, "--model", model)
 
+    @pytest.mark.parametrize("N", [31, 4])
+    @pytest.mark.parametrize(
+        "data, book, payload",
+        [
+            (b"", {0, 1}, b""),
+            (b"\xff" * 10, {0, 255}, b"\xff\xc0"),
+            (b"\x00" * 10, {0, 1}, b"\x00\x00"),
+        ],
+        ids=["empty", "ff-repeated", "00-repeated"],
+    )
+    def test_degenerate_huffman_containers(
+        self, tmp_path, capsys, data, book, payload, N
+    ):
+        # Fewer than two distinct bytes: the book is padded with the next
+        # byte value to two one-digit codewords.
+        packed = roundtrip(tmp_path, capsys, data, "--model", "huffman", "-N", N)
+        header = b"PADC\x02\x02" + bytes([N, 0x01, 2]) + (256).to_bytes(2, "little")
+        lengths = bytes(1 if s in book else 0 for s in range(256))
+        count = len(data).to_bytes(8, "little")
+        assert packed.read_bytes() == header + lengths + count + payload
+
     def test_binary_blob(self, tmp_path, capsys):
         data = bytes(random.Random(2).randrange(256) for _ in range(4000))
         roundtrip(tmp_path, capsys, data)
@@ -123,6 +144,19 @@ class TestErrors:
         assert code == 1
         code, _, err = run_cli(capsys, "encode", "-N", 40, src, tmp_path / "o")
         assert code == 1
+
+    @pytest.mark.parametrize("N", [3, 4])
+    def test_base_must_fit_container_byte(self, tmp_path, capsys, N):
+        src, out = tmp_path / "s", tmp_path / "o"
+        src.write_bytes(b"x")
+        code, _, err = run_cli(capsys, "encode", "-P", 257, "-N", N, src, out)
+        assert code == 1
+        assert "one-byte field, got 257" in err
+        code, _, err = run_cli(capsys, "bench", "-P", 257, "-N", N, tmp_path)
+        assert code == 1
+        assert "one-byte field, got 257" in err
+        flags = ("--model", "unary", "-P", 251, "-N", 3)
+        assert run_cli(capsys, "encode", *flags, src, out)[0] == 0
 
     def test_adaptive_needs_room(self, tmp_path, capsys):
         src = tmp_path / "s"

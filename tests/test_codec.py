@@ -220,6 +220,18 @@ class TestHuffmanEquivalence:
         digits = encode(msg, model)
         assert decode(digits, HuffmanModel(book, params, eom_symbol=eom)) == msg
 
+    def test_delimiterless_stream_ends_in_step_mode(self):
+        # Without an end marker the digit count ends the stream, also when
+        # symbols are pulled one at a time or a few per call.
+        book = {"a": (0,), "b": (1, 0), "c": (1, 1)}
+        params = GridParams(2, 8)
+        model = HuffmanModel(book, params)
+        digits = encode("abcab", model)
+        dec = Decoder(DigitReader.from_digits(params, digits), model)
+        assert [dec.next_symbol() for _ in range(6)] == [*"abcab", None]
+        dec = Decoder(DigitReader.from_digits(params, digits), model)
+        assert [dec.run(limit=3) for _ in range(3)] == [[*"abc"], [*"ab"], []]
+
     def test_empty_codeword_rejected_for_delimiterless_decode(self):
         model = HuffmanModel({0: ()}, P2N4)
         reader = DigitReader.from_digits(P2N4, [])

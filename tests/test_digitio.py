@@ -57,6 +57,15 @@ class TestWriterReader:
         with pytest.raises(ValueError):
             w.push_number(3, 1)
 
+    def test_base_beyond_a_byte_rejected(self):
+        # Digits travel as byte values, so no base above 256 fits.
+        with pytest.raises(ValueError, match="byte"):
+            DigitWriter(GridParams(257, 3))
+        with pytest.raises(ValueError, match="byte"):
+            DigitReader(GridParams(257, 3), b"", 0)
+        r = DigitReader.from_digits(GridParams(251, 3), [250, 0, 7])
+        assert r.get_digits(3) == [250, 0, 7]
+
     def test_base3_final_block_padding(self):
         # 201 in base 3 is 19; three digits take one byte, zero-padded to
         # the five digits that fit in it: 19 * 3**2.
@@ -371,6 +380,15 @@ class TestContainer:
         )
         with pytest.raises(ValueError):
             write_container(header, b"")
+
+    @pytest.mark.parametrize(
+        "flags",
+        [{"flush": "bogus"}, {"flush": None}, {"ar": 1}, {"ar": "yes"}, {"ar": None}],
+        ids=["flush-bogus", "flush-none", "ar-1", "ar-str", "ar-none"],
+    )
+    def test_write_rejects_flags_that_would_not_read_back(self, flags):
+        with pytest.raises(ValueError, match="flags"):
+            write_container(header_for(P2N8, **flags), b"")
 
     def test_trailing_garbage(self):
         blob = write_container(header_for(P2N8), b"")

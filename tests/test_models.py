@@ -386,6 +386,37 @@ class TestHuffmanConstruction:
     def test_single_symbol(self):
         assert huffman_code_lengths([7]) == [0]
 
+    @pytest.mark.parametrize(
+        "freqs, max_len, lengths",
+        [
+            ([4] * 7, None, [3, 3, 3, 3, 3, 3, 2]),
+            ([1] * 12, None, [4] * 8 + [3] * 4),
+            ([9] * 16, None, [4] * 16),
+            ([1, 1, 2, 3, 5, 8, 13, 21, 34, 55], None, [9, 9, 8, 7, 6, 5, 4, 3, 2, 1]),
+            ([55, 34, 21, 13, 8, 5, 3, 2, 1, 1], None, [1, 2, 3, 4, 5, 6, 7, 8, 9, 9]),
+            ([1, 1, 2, 3, 5, 8, 13, 21, 34, 55], 5, [5, 5, 5, 5, 4, 4, 3, 3, 2, 2]),
+            ([3, 3, 1, 1, 2, 2, 5, 5], None, [3, 3, 4, 4, 4, 4, 2, 2]),
+            ([2, 2, 2, 2, 4, 4, 8, 8, 1, 1], None, [4, 4, 4, 4, 4, 3, 2, 2, 5, 5]),
+            ([3, 3, 1, 1, 2, 2, 5, 5, 7, 7, 30, 30], 4, [4] * 10 + [3, 2]),
+        ],
+        ids=[
+            "equal-7",
+            "equal-12",
+            "equal-16",
+            "fibonacci",
+            "fibonacci-reversed",
+            "fibonacci-max5",
+            "pairs",
+            "pairs-2",
+            "pairs-max4",
+        ],
+    )
+    def test_tie_order_pinned(self, freqs, max_len, lengths):
+        # Ties decide which of several optimal trees is built, and the
+        # lengths are stored in containers, so the tie order is fixed:
+        # leaves before merged nodes, leaves by symbol, merges in order.
+        assert huffman_code_lengths(freqs, max_len) == lengths
+
     def test_too_many_symbols_for_depth(self):
         with pytest.raises(ValueError):
             huffman_code_lengths([1] * 40, max_len=5)
