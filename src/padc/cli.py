@@ -17,6 +17,7 @@ from .digitio import (
     ContainerError,
     ContainerHeader,
     DigitWriter,
+    model_bytes,
     read_container,
     write_container,
 )
@@ -227,6 +228,7 @@ def cmd_stats(args):
     print(f"flush: {header.flush}")
     print(f"model: {header.model_kind}")
     print(f"alphabet_size: {header.alphabet_size}")
+    print(f"model_bytes: {model_bytes(header)}")
     print(f"digit_count: {header.digit_count}")
     print(f"payload_bytes: {len(reader.payload)}")
     print(f"container_bytes: {len(blob)}")

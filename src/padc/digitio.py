@@ -16,24 +16,30 @@ coder hands runs of digits over as one base-P number
 (DigitWriter.push_number) and reads them back in chunks the same way
 (DigitReader.value).
 
-Container layout (multi-byte integers little-endian):
+Container layout:
 
     bytes 0-3   magic "PADC"
-    byte  4     version (2; readers refuse version 1, which stored P > 2
-                digits one per byte)
+    byte  4     version (3; readers refuse versions 1 and 2, which
+                stored the model payload and digit count as fixed-width
+                fields, and version 1 also P > 2 digits one per byte)
     byte  5     P
     byte  6     N
     byte  7     flags: bit0 = midpoint renorm enabled, bit1 = flush mode
                 (0 = shortest point, trimmed; 1 = left edge, full path)
     byte  8     model id: 0 static, 1 adaptive, 2 huffman, 3 unary
-    bytes 9-10  alphabet size S (u16, excluding the end marker)
-    ...         model payload, in the struct format _model_format gives:
-                  static   -> (S+1) u32 counts, end marker last
-                  huffman  -> S u8 canonical code lengths (P=2 only,
-                              0 = symbol absent)
-                  adaptive -> empty
-                  unary    -> 1 byte, the repeated symbol's value
-    ...         u64 digit count
+    bytes 9-10  alphabet size S (u16, little-endian, excluding the end
+                marker)
+    ...         one run of Elias gamma codes, zero-padded to a whole
+                byte; each value v >= 1 is bitlen(v) - 1 zeros, then v
+                in binary.  The run holds, as _model_layout gives:
+                  static   -> the S+1 counts (1 .. 2**32-1), end marker
+                              last
+                  huffman  -> each of the S canonical code lengths plus
+                              1 (P=2 only, 0 = symbol absent, at most N)
+                  adaptive -> nothing
+                  unary    -> the repeated symbol's byte value plus 1
+                then the digit count plus 1 (count < 2**64), so no value
+                is wider than 65 bits
     ...         digit blocks, then the final partial block (big-endian)
 
 Writers and readers are single-owner objects; distinct instances are
@@ -49,7 +55,7 @@ from itertools import product
 from .core import GridParams
 
 MAGIC = b"PADC"
-VERSION = 2
+VERSION = 3
 
 FLAG_AR = 0x01
 FLAG_FLUSH_LEFT = 0x02
@@ -59,6 +65,7 @@ MODEL_KINDS = {v: k for k, v in MODEL_IDS.items()}
 
 _HEADER = struct.Struct("<4sBBBBBH")
 _MAX_BLOCK = 512
+_MAX_GAMMA = 65  # bits in the widest run value, a digit count of 2**64 - 1 plus 1
 
 
 class ContainerError(ValueError):
@@ -295,34 +302,83 @@ class ContainerHeader:
     digit_count: int
 
 
-def _model_format(kind, S):
-    """The struct format of a kind's model payload, for alphabet size S."""
+def _model_layout(kind, S, N):
+    """(values, bias, top) of a kind's model payload for alphabet size S
+    and grid level N: how many values it holds, what is added to each to
+    store it as a gamma value, and the largest value it may hold."""
     return {
-        "static": f"{S + 1}I",
-        "huffman": f"{S}B",
-        "adaptive": "",
-        "unary": "B",
+        "static": (S + 1, 0, 2**32 - 1),
+        "huffman": (S, 1, N),
+        "adaptive": (0, 1, 0),
+        "unary": (1, 1, 255),
     }[kind]
 
 
+def _run_values(header: ContainerHeader):
+    """The values of header's gamma run, each at least 1: the model
+    payload's, then the digit count plus 1.  Raises ValueError for a
+    payload or digit count outside its range."""
+    kind, data, S = header.model_kind, header.model_data, header.alphabet_size
+    count, bias, top = _model_layout(kind, S, header.params.N)
+    model = [data or 0] if kind == "unary" else list(data or ())
+    if len(model) != count:
+        raise ValueError(f"{kind} model needs {count} values, got {len(model)}")
+    for v in model:
+        if not 1 - bias <= v <= top:
+            raise ValueError(f"{kind} model value {v} outside {1 - bias}..{top}")
+    if not 0 <= header.digit_count < 2**64:
+        raise ValueError(f"digit count {header.digit_count} outside 0..2**64-1")
+    return [v + bias for v in model] + [header.digit_count + 1]
+
+
+def model_bytes(header: ContainerHeader) -> int:
+    """The byte length of header's gamma run in its container."""
+    return len(_write_run(_run_values(header)))
+
+
+def _write_run(values) -> bytes:
+    """Elias gamma codes of values >= 1, zero-padded to whole bytes."""
+    bits = "".join([format(v, "b").zfill(2 * v.bit_length() - 1) for v in values])
+    return (int(bits, 2) << -len(bits) % 8).to_bytes((len(bits) + 7) // 8, "big")
+
+
+def _read_run(data: bytes, start: int, n: int):
+    """(values, end): the n gamma values from byte start of data, and the
+    byte after their padding.  No value is wider than _MAX_GAMMA bits, so
+    only the (2 * _MAX_GAMMA - 1) * n bits from start are read."""
+    window = data[start : start + ((2 * _MAX_GAMMA - 1) * n + 7) // 8]
+    bits = format(int.from_bytes(window, "big") | 1 << 8 * len(window), "b")[1:]
+    values = []
+    pos = 0
+    for _ in range(n):
+        one = bits.find("1", pos, pos + _MAX_GAMMA)
+        if one < 0:
+            if len(bits) - pos < _MAX_GAMMA:
+                raise ContainerError("truncated model payload or digit count")
+            raise ContainerError(f"gamma value too wide (over {_MAX_GAMMA} bits)")
+        end = 2 * one - pos + 1
+        if end > len(bits):
+            raise ContainerError("truncated model payload or digit count")
+        values.append(int(bits[one:end], 2))
+        pos = end
+    if "1" in bits[pos : -pos % 8 + pos]:
+        raise ContainerError("nonzero padding bits after the model payload")
+    return values, start + (pos + 7) // 8
+
+
 def write_container(header: ContainerHeader, digit_payload: bytes) -> bytes:
-    params, kind, data = header.params, header.model_kind, header.model_data
+    params, kind = header.params, header.model_kind
     if kind not in MODEL_IDS:
         raise ValueError(f"unknown model kind {kind!r}")
     if kind == "huffman" and params.P != 2:
         raise ValueError("huffman containers support P=2 only")
     if header.flush not in ("min", "left") or not isinstance(header.ar, bool):
         raise ValueError(f"bad flags: flush={header.flush!r}, ar={header.ar!r}")
-    model = [data or 0] if kind == "unary" else list(data or ())
-    if kind == "static" and min(model, default=1) < 1:
-        raise ValueError("static model count below 1")
     flags = (FLAG_AR if header.ar else 0) | (
         FLAG_FLUSH_LEFT if header.flush == "left" else 0
     )
-    layout = _HEADER.format + _model_format(kind, header.alphabet_size) + "Q"
     try:
-        out = struct.pack(
-            layout,
+        fixed = _HEADER.pack(
             MAGIC,
             VERSION,
             params.P,
@@ -330,17 +386,16 @@ def write_container(header: ContainerHeader, digit_payload: bytes) -> bytes:
             flags,
             MODEL_IDS[kind],
             header.alphabet_size,
-            *model,
-            header.digit_count,
         )
     except struct.error as e:
         raise ValueError(f"{kind} container header does not fit: {e}") from None
+    run = _write_run(_run_values(header))
     expected = payload_length(params, header.digit_count)
     if len(digit_payload) != expected:
         raise ValueError(
             f"digit payload of {len(digit_payload)} bytes, expected {expected}"
         )
-    return out + digit_payload
+    return fixed + run + digit_payload
 
 
 def read_container(data: bytes):
@@ -363,17 +418,16 @@ def read_container(data: bytes):
     kind = MODEL_KINDS[model_id]
     if kind == "huffman" and p != 2:
         raise ContainerError("huffman containers support P=2 only")
-    body = struct.Struct("<" + _model_format(kind, alphabet_size) + "Q")
-    pos = _HEADER.size + body.size
-    if len(data) < pos:
-        raise ContainerError("truncated model payload or digit count")
-    *model, digit_count = body.unpack_from(data, _HEADER.size)
-    if kind == "static" and min(model) < 1:
-        raise ContainerError("static model count below 1")
+    count, bias, top = _model_layout(kind, alphabet_size, n)
+    values, pos = _read_run(data, _HEADER.size, count + 1)
+    model = [v - bias for v in values[:-1]]
+    if max(model, default=0) > top:
+        raise ContainerError(f"{kind} model value {max(model)} above {top}")
     if kind == "unary":
         model = model[0]
     elif kind == "adaptive":
         model = None
+    digit_count = values[-1] - 1
     expected = payload_length(params, digit_count)
     payload = data[pos:]
     if len(payload) < expected:

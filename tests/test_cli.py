@@ -45,24 +45,27 @@ class TestEncodeDecode:
 
     @pytest.mark.parametrize("N", [31, 4])
     @pytest.mark.parametrize(
-        "data, book, payload",
+        "data, run, payload",
         [
-            (b"", {0, 1}, b""),
-            (b"\xff" * 10, {0, 255}, b"\xff\xc0"),
-            (b"\x00" * 10, {0, 1}, b"\x00\x00"),
+            # gamma codes: each code length plus 1 (1 -> "010", 0 -> "1"),
+            # then the digit count plus 1 (0 -> "1", 10 -> "0001011")
+            (b"", "010" "010" + "1" * 254 + "1", b""),
+            (b"\xff" * 10, "010" + "1" * 254 + "010" + "0001011", b"\xff\xc0"),
+            (b"\x00" * 10, "010" "010" + "1" * 254 + "0001011", b"\x00\x00"),
         ],
         ids=["empty", "ff-repeated", "00-repeated"],
     )
     def test_degenerate_huffman_containers(
-        self, tmp_path, capsys, data, book, payload, N
+        self, tmp_path, capsys, data, run, payload, N
     ):
         # Fewer than two distinct bytes: the book is padded with the next
         # byte value to two one-digit codewords.
         packed = roundtrip(tmp_path, capsys, data, "--model", "huffman", "-N", N)
-        header = b"PADC\x02\x02" + bytes([N, 0x01, 2]) + (256).to_bytes(2, "little")
-        lengths = bytes(1 if s in book else 0 for s in range(256))
-        count = len(data).to_bytes(8, "little")
-        assert packed.read_bytes() == header + lengths + count + payload
+        header = b"PADC\x03\x02" + bytes([N, 0x01, 2]) + (256).to_bytes(2, "little")
+        run = run + "0" * (-len(run) % 8)
+        model = int(run, 2).to_bytes(len(run) // 8, "big")
+        assert len(model) == (33 if not data else 34)
+        assert packed.read_bytes() == header + model + payload
 
     def test_binary_blob(self, tmp_path, capsys):
         data = bytes(random.Random(2).randrange(256) for _ in range(4000))
@@ -202,6 +205,36 @@ class TestStats:
         assert int(fields["digit_count"]) == header.digit_count
         assert int(fields["payload_bytes"]) == len(reader.payload)
         assert int(fields["container_bytes"]) == packed.stat().st_size
+        keys = list(fields)
+        assert keys[keys.index("alphabet_size") + 1] == "model_bytes"
+
+    @pytest.mark.parametrize(
+        "flags, model_values",
+        [
+            (["--model", "adaptive"], []),
+            (["--model", "unary"], [ord("u") + 1]),
+            (["--model", "huffman"], None),
+            (["--model", "static", "-P", 3, "-N", 20, "--no-ar"], None),
+        ],
+        ids=["adaptive", "unary", "huffman", "static-p3"],
+    )
+    def test_model_bytes_add_up(self, tmp_path, capsys, flags, model_values):
+        src = tmp_path / "src"
+        data = b"u" * 600 if "unary" in flags else make_text(random.Random(8), 600)
+        src.write_bytes(data)
+        packed = tmp_path / "p"
+        assert run_cli(capsys, "encode", *flags, src, packed)[0] == 0
+        code, out, _ = run_cli(capsys, "stats", packed)
+        assert code == 0
+        fields = dict(line.split(": ") for line in out.splitlines())
+        model_bytes = int(fields["model_bytes"])
+        if model_values is not None:
+            values = model_values + [int(fields["digit_count"]) + 1]
+            bits = sum(2 * v.bit_length() - 1 for v in values)
+            assert model_bytes == (bits + 7) // 8
+        assert 11 + model_bytes + int(fields["payload_bytes"]) == int(
+            fields["container_bytes"]
+        )
 
 
 class TestBench:

@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,7 +17,15 @@ from padc import (
     write_container,
 )
 from padc.cli import main
-from padc.digitio import _block, payload_length
+from padc.digitio import (
+    MAGIC,
+    MODEL_IDS,
+    _HEADER,
+    _block,
+    _read_run,
+    _write_run,
+    payload_length,
+)
 
 P2N8 = GridParams(2, 8)
 P3N6 = GridParams(3, 6)
@@ -295,11 +305,14 @@ class TestContainer:
             read_container(bytes(blob))
 
     def test_version_1_rejected(self, tmp_path, capsys):
-        blob = bytearray(write_container(header_for(P2N8), b""))
-        blob[4] = 1
-        with pytest.raises(ContainerError, match="unsupported version 1"):
-            read_container(bytes(blob))
-        assert decode_exit_code(tmp_path, capsys, bytes(blob)) == 3
+        # Versions 1 and 2 stored the model payload and digit count as
+        # fixed-width fields; neither is read.
+        for version in (1, 2):
+            blob = bytearray(write_container(header_for(P2N8), b""))
+            blob[4] = version
+            with pytest.raises(ContainerError, match=f"unsupported version {version}"):
+                read_container(bytes(blob))
+            assert decode_exit_code(tmp_path, capsys, bytes(blob)) == 3
 
     def test_nonprime_base(self):
         blob = bytearray(write_container(header_for(P2N8), b""))
@@ -462,3 +475,134 @@ class TestContainer:
         got, reader = read_container(write_container(header, w.to_bytes()))
         assert got == header
         assert reader.get_digits(len(digits)) == digits
+
+
+def gamma_values():
+    """Run values, weighted towards the edges of each bit width."""
+    return st.one_of(
+        st.sampled_from([1, 2, 3, 2**32 - 1, 2**32, 2**64 - 1, 2**64]),
+        st.integers(0, 64).map(lambda k: 2**k),
+        st.integers(1, 65).map(lambda k: 2**k - 1),
+        st.integers(1, 2**65 - 1),
+    )
+
+
+def fixed_header(kind, S, N=31):
+    """The 11 fixed bytes of a version 3 container at P=2."""
+    return _HEADER.pack(MAGIC, 3, 2, N, 0x01, MODEL_IDS[kind], S)
+
+
+class TestGammaRun:
+    @given(st.lists(gamma_values(), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_roundtrip(self, values):
+        run = _write_run(values)
+        assert len(run) == (sum(2 * v.bit_length() - 1 for v in values) + 7) // 8
+        assert _read_run(run, 0, len(values)) == (values, len(run))
+        # bytes after the run are not read as part of it
+        assert _read_run(run + b"\xff" * 3, 0, len(values)) == (values, len(run))
+
+    @given(st.lists(gamma_values(), min_size=1, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_every_cut_is_truncated(self, values):
+        run = _write_run(values)
+        for cut in range(len(run)):
+            with pytest.raises(ContainerError, match="truncated"):
+                _read_run(run[:cut], 0, len(values))
+
+    def test_codes_spelled_out(self):
+        # 1 -> 1, 2 -> 010, 5 -> 00101, 2**64 -> 64 zeros then 1 and 64 zeros
+        assert _write_run([1, 2, 5]) == bytes([0b10100010, 0b10000000])
+        assert _write_run([2**64]) == (1 << 64 + 7).to_bytes(17, "big")
+
+    def test_wider_than_65_bits_rejected(self):
+        with pytest.raises(ContainerError, match="too wide"):
+            _read_run(_write_run([2**65]), 0, 1)
+        assert _read_run(_write_run([2**65 - 1]), 0, 1)[0] == [2**65 - 1]
+
+    def test_static_table_of_ones_size_pinned(self):
+        header = header_for(
+            GridParams(2, 31), model_kind="static", model_data=[1] * 257
+        )
+        blob = write_container(header, b"")
+        # 11 fixed bytes, then 258 one-bit codes padded to 33 bytes
+        assert blob == fixed_header("static", 256) + b"\xff" * 32 + b"\xc0"
+        assert len(blob) == 44
+        assert read_container(blob)[0] == header
+
+    def test_stored_values_spelled_out(self):
+        header = header_for(
+            P2N8,
+            model_kind="huffman",
+            alphabet_size=3,
+            model_data=[1, 0, 1],
+            digit_count=4,
+        )
+        # lengths plus 1: 010 1 010; digit count plus 1: 00101; padding 0000
+        run = bytes([0b01010100, 0b01010000])
+        blob = write_container(header, b"\xa0")
+        assert blob == fixed_header("huffman", 3, N=8) + run + b"\xa0"
+        unary = header_for(P2N8, model_kind="unary", alphabet_size=1, model_data=0)
+        # byte value plus 1: 1; digit count plus 1: 1
+        assert write_container(unary, b"") == fixed_header(
+            "unary", 1, N=8
+        ) + bytes([0b11000000])
+
+    def test_nonzero_padding_rejected(self, tmp_path, capsys):
+        blob = bytearray(write_container(header_for(P2N8, digit_count=9), b"\xff\x80"))
+        # the run is one code, 0001010 for a digit count of 9, then one
+        # padding bit
+        assert blob[11] == 0b00010100
+        blob[11] |= 0b00000001
+        with pytest.raises(ContainerError, match="padding"):
+            read_container(bytes(blob))
+        assert decode_exit_code(tmp_path, capsys, bytes(blob)) == 3
+
+    def test_write_rejects_digit_count_beyond_u64(self):
+        with pytest.raises(ValueError, match="digit count"):
+            write_container(header_for(P2N8, digit_count=2**64), b"")
+
+    @pytest.mark.parametrize(
+        "fill, match", [(b"\x00", "too wide"), (b"\x01", "padding")], ids=["00", "01"]
+    )
+    def test_long_garbage_after_header_rejected_quickly(self, fill, match):
+        # 0x00 bytes: the first value has over 64 leading zeros.  0x01
+        # bytes: the values alternate 128 and 1, and the last ends on a
+        # byte's next-to-last bit, leaving a 1 in the padding.
+        blob = fixed_header("static", 65535) + fill * 2**20
+        start = time.perf_counter()
+        with pytest.raises(ContainerError, match=match):
+            read_container(blob)
+        assert time.perf_counter() - start < 1
+
+    def test_hostile_huffman_lengths_rejected_before_any_codebook(
+        self, tmp_path, capsys
+    ):
+        # 65,535 code lengths of 255 at N=31: a codebook of them would
+        # take seconds and over 100 MiB.
+        blob = fixed_header("huffman", 65535) + _write_run([256] * 65535 + [1])
+        with pytest.raises(ContainerError, match="above 31"):
+            read_container(blob)
+        start = time.perf_counter()
+        assert decode_exit_code(tmp_path, capsys, blob) == 3
+        assert time.perf_counter() - start < 1
+        tracemalloc.start()
+        try:
+            assert decode_exit_code(tmp_path, capsys, blob) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
+    @pytest.mark.parametrize(
+        "kind, S, values, match",
+        [
+            ("static", 1, [1, 2**32, 1], "static model value 4294967296 above"),
+            ("huffman", 2, [1, 33, 1], "huffman model value 32 above 31"),
+            ("unary", 1, [257, 1], "unary model value 256 above 255"),
+        ],
+        ids=["count-2**32", "length-above-N", "unary-256"],
+    )
+    def test_read_rejects_out_of_range(self, kind, S, values, match):
+        with pytest.raises(ContainerError, match=match):
+            read_container(fixed_header(kind, S) + _write_run(values))
