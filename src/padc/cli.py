@@ -139,7 +139,12 @@ def _model_from_header(header):
     if kind == "static":
         return StaticModel(header.model_data, params)
     if kind == "huffman":
-        return HuffmanModel(canonical_codebook(header.model_data), params)
+        # Kraft equality, in O(S) before any codebook is built: only a
+        # complete code tiles the grid.
+        lengths, pw = header.model_data, params.powers
+        if sum(pw[params.N - ln] for ln in lengths if ln) != params.size:
+            raise ContainerError("huffman code lengths do not form a complete code")
+        return HuffmanModel(canonical_codebook(lengths), params)
     if kind == "unary":
         return UnaryModel(params)
     raise ContainerError(f"unknown model kind {kind!r}")

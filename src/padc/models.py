@@ -12,7 +12,12 @@ full interval.  Subdivision uses the integer form
     l_new = l + floor(w * C[i] / T),  r_new = l + floor(w * C[i+1] / T)
 
 with w the interval width and C the cumulative count table, which tiles
-[l, r) exactly: no gaps, no overlaps.  The adaptive model reads C from a
+[l, r) exactly: no gaps, no overlaps.  When w equals the table total T
+the floors are exact, l_new = l + C[i] and r_new = l + C[i+1], and the
+table models take that path without a multiply or divide.  A Huffman
+model always does: its total is P**N and every symbol starts from the
+full ring.  A coding static model never does, as its total is at most
+P**(N-2), below the width floor.  The adaptive model reads C from a
 table built at its last rebuild plus a sorted log of the symbols coded
 since then.
 """
@@ -70,6 +75,8 @@ class StaticModel:
             raise ValueError(f"unknown symbol {symbol!r}")
         size, cum, total = self.params.size, self.cum, self.total
         w = (r - l) % size or size
+        if w == total:
+            return (l + cum[i]) % size, (l + cum[i + 1]) % size
         l_new = (l + w * cum[i] // total) % size
         r_new = (l + w * cum[i + 1] // total) % size
         if l_new == r_new and self.counts[i] != total:
@@ -84,6 +91,9 @@ class StaticModel:
         off = (g - l) % size
         if off >= w:
             raise ValueError(f"code point {g} outside interval [{l}, {r})")
+        if w == total:
+            i = bisect_right(cum, off) - 1
+            return (l + cum[i]) % size, (l + cum[i + 1]) % size, self.symbols[i]
         # Row i has the largest C = cum[i] with floor(w*C/total) <= off, so
         # its cell holds off and is never empty.
         i = bisect_right(cum, (total * (off + 1) - 1) // w) - 1

@@ -594,6 +594,35 @@ class TestGammaRun:
             tracemalloc.stop()
         assert peak < 10 * 2**20
 
+    def test_incomplete_huffman_book_rejected_before_any_codebook(
+        self, tmp_path, capsys
+    ):
+        # 65,535 code lengths of 31 at N=31: each is in range, but their
+        # Kraft sum is far below 1.  A codebook of them would take most of
+        # a second and about 40 MiB.
+        blob = fixed_header("huffman", 65535) + _write_run([32] * 65535 + [1])
+        read_container(blob)
+        start = time.perf_counter()
+        assert decode_exit_code(tmp_path, capsys, blob) == 3
+        assert time.perf_counter() - start < 1
+        tracemalloc.start()
+        try:
+            assert decode_exit_code(tmp_path, capsys, blob) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
+    @pytest.mark.parametrize(
+        "lengths", [[1, 2, 0], [1, 1, 1]], ids=["incomplete", "over-full"]
+    )
+    def test_huffman_book_not_complete_rejected(self, tmp_path, capsys, lengths):
+        blob = fixed_header("huffman", 3) + _write_run([n + 1 for n in lengths] + [1])
+        packed = tmp_path / "packed.padc"
+        packed.write_bytes(blob)
+        assert main(["decode", str(packed), str(tmp_path / "out")]) == 3
+        assert "lengths do not form a complete code" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "kind, S, values, match",
         [

@@ -274,6 +274,67 @@ class TestTableModels:
             m.code("absent", 0, 0)
 
 
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "paper-p2n5",
+            "deep-p2n5",
+            "flat-p2n5",
+            "p3n3",
+            "one-codeword",
+            "static-full",
+            "static-below",
+        ],
+    )
+    def test_whole_ring_exhaustive(self, case):
+        """At w == T the subdivision floor(w*C/T) is C itself.  On every
+        interval that starts at some l and spans the whole ring (r = l, a
+        wrapped interval for l > 0), and on width T where T < P**N, code
+        and decode match the naive floor form for every row and every
+        point."""
+        P2N5 = GridParams(2, 5)
+        books = {
+            "paper-p2n5": (PAPER_BOOK, P2N5),
+            "deep-p2n5": (canonical_codebook([5, 1, 4, 2, 5, 3]), P2N5),
+            "flat-p2n5": (canonical_codebook([3] * 8), P2N5),
+            "p3n3": (
+                {"a": (0,), "b": (2,), "c": (1, 0), "d": (1, 1),
+                 "e": (1, 2, 0), "f": (1, 2, 1), "g": (1, 2, 2)},
+                GridParams(3, 3),
+            ),
+            "one-codeword": ({0: ()}, P2N5),
+        }
+        if case in books:
+            book, params = books[case]
+            m = HuffmanModel(book, params)
+            rows = sorted(book, key=book.get)
+            counts = [params.powers[params.N - len(book[s])] for s in rows]
+        else:
+            params = P2N5
+            counts = [5, 11, 3, 13] if case == "static-full" else [5, 11, 3, 7]
+            m = StaticModel(counts, params)
+            rows = list(range(len(counts)))
+        size, total = params.size, sum(counts)
+        assert (total == size) == (case != "static-below")
+        cum = list(accumulate(counts, initial=0))
+        for w in sorted({size, total}):
+            for l in range(size):
+                r = (l + w) % size
+                lo = [w * c // total for c in cum]
+                for i, s in enumerate(rows):
+                    assert m.code(s, l, r) == ((l + lo[i]) % size, (l + lo[i + 1]) % size)
+                for g in range(size):
+                    off = (g - l) % size
+                    if off >= w:
+                        with pytest.raises(ValueError, match="outside interval"):
+                            m.decode(g, l, r)
+                        continue
+                    i = next(i for i in range(len(rows)) if lo[i] <= off < lo[i + 1])
+                    assert m.decode(g, l, r) == (
+                        (l + lo[i]) % size, (l + lo[i + 1]) % size, rows[i]
+                    )
+
+
 class TestHuffmanModel:
     def test_paper_starting_indexes(self):
         m = HuffmanModel(PAPER_BOOK, GridParams(2, 3))
