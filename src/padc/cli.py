@@ -8,27 +8,16 @@ Exit codes: 0 success, 1 usage or model misconfiguration, 2 I/O failure,
 import argparse
 import sys
 import time
-from itertools import repeat
+from collections import Counter
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .codec import Decoder, Encoder, MalformedStreamError
 from .core import GridParams
-from .digitio import (
-    ContainerError,
-    ContainerHeader,
-    DigitWriter,
-    model_bytes,
-    read_container,
-    write_container,
-)
-from .models import (
-    AdaptiveModel,
-    HuffmanModel,
-    StaticModel,
-    UnaryModel,
-    canonical_codebook,
-    huffman_code_lengths,
-)
+from .digitio import ContainerError, ContainerHeader, DigitWriter, model_bytes
+from .digitio import read_container, write_container
+from .models import AdaptiveModel, HuffmanModel, StaticModel, UnaryModel
+from .models import canonical_codebook, huffman_code_lengths
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -74,12 +63,15 @@ def _scaled_counts(counts, cap):
     return counts
 
 
-def _read_freq_file(path):
+def _read(path, what="input"):
     try:
-        text = Path(path).read_text()
+        return Path(path).read_bytes()
     except OSError as e:
-        raise CliError(f"cannot read frequency file: {e}", EXIT_IO) from None
-    fields = text.split()
+        raise CliError(f"cannot read {what}: {e}", EXIT_IO) from None
+
+
+def _read_freq_file(path):
+    fields = _read(path, "frequency file").split()
     if len(fields) != BYTE_ALPHABET + 1:
         raise CliError(
             f"frequency file needs {BYTE_ALPHABET + 1} counts, got {len(fields)}",
@@ -94,99 +86,114 @@ def _read_freq_file(path):
     return counts
 
 
-def _build_encode_model(kind, data, params, freq_file):
-    """Alphabet size and container descriptor of a --model choice for data."""
-    cap = params.powers[params.N - 2]
-    if kind == "adaptive":
-        if BYTE_ALPHABET + 1 > cap:
-            raise CliError(
-                f"adaptive byte model needs P**(N-2) >= {BYTE_ALPHABET + 1}",
-                EXIT_USAGE,
-            )
-        return BYTE_ALPHABET, None
-    if kind == "huffman" and params.P != 2:
+def _static_payload(data, params, freq_file):
+    if freq_file is None:
+        hist = Counter(data)
+        counts = [hist[b] + 1 for b in range(BYTE_ALPHABET)] + [1]  # end marker last
+    else:
+        counts = _read_freq_file(freq_file)
+    return _scaled_counts(counts, params.powers[params.N - 2])
+
+
+def _adaptive_payload(data, params, freq_file):
+    if BYTE_ALPHABET + 1 > params.powers[params.N - 2]:
+        raise CliError("adaptive byte model needs P**(N-2) >= 257", EXIT_USAGE)
+    return []
+
+
+def _huffman_payload(data, params, freq_file):
+    if params.P != 2:
         raise CliError("huffman mode supports P=2 only", EXIT_USAGE)
-    hist = [0] * BYTE_ALPHABET
-    for b in data:
-        hist[b] += 1
-    if kind == "static":
-        if freq_file is not None:
-            counts = _read_freq_file(freq_file)
-        else:
-            counts = [c + 1 for c in hist] + [1]  # end marker owns the last slot
-        return BYTE_ALPHABET, _scaled_counts(counts, cap)
-    present = [s for s, c in enumerate(hist) if c]
-    first = present[0] if present else 0
-    if kind == "unary":
-        if len(present) > 1:
-            raise ValueError("unary model needs a single repeated byte")
-        return 1, first
+    hist = Counter(data)
+    present = sorted(hist)
     if len(present) < 2:
-        # huffman: a degenerate book takes a neighbouring byte, for a depth-1 tree.
+        # A degenerate book takes a neighbouring byte, for a depth-1 tree.
+        first = present[0] if present else 0
         present = sorted({first, (first + 1) % BYTE_ALPHABET})
     lens = huffman_code_lengths([hist[s] or 1 for s in present], max_len=params.N)
-    lengths = [0] * BYTE_ALPHABET
-    for s, ln in zip(present, lens):
-        lengths[s] = ln
-    return BYTE_ALPHABET, lengths
+    book = dict(zip(present, lens))
+    return [book.get(b, 0) for b in range(BYTE_ALPHABET)]
+
+
+def _huffman_model(header):
+    # Kraft equality, in O(S) before any codebook is built: only a
+    # complete code tiles the grid.
+    lengths, params = header.model_data, header.params
+    if sum(params.powers[params.N - ln] for ln in lengths if ln) != params.size:
+        raise ContainerError("huffman code lengths do not form a complete code")
+    return HuffmanModel(canonical_codebook(lengths), params)
+
+
+def _unary_payload(data, params, freq_file):
+    if len(set(data)) > 1:
+        raise ValueError("unary model needs a single repeated byte")
+    return list(data[:1]) or [0]
+
+
+class _Kind(NamedTuple):
+    """A --model choice: payload(data, params, freq_file) gives the
+    header's model_data, model(header) the model, and tables(model_data)
+    the bytes.translate tables byte -> symbol and symbol -> byte."""
+
+    payload: Callable
+    model: Callable
+    alphabet_size: int = BYTE_ALPHABET
+    tables: Callable = lambda model_data: (None, None)  # identity
+
+
+_KINDS = {
+    "static": _Kind(_static_payload, lambda h: StaticModel(h.model_data, h.params)),
+    "adaptive": _Kind(
+        _adaptive_payload, lambda h: AdaptiveModel(h.alphabet_size, h.params)
+    ),
+    "huffman": _Kind(_huffman_payload, _huffman_model),
+    "unary": _Kind(  # one symbol, 0, which stands for the stored byte
+        _unary_payload, lambda h: UnaryModel(h.params), alphabet_size=1,
+        tables=lambda model_data: (bytes(256), bytes(model_data) * 256),
+    ),
+}
 
 
 def _model_from_header(header):
-    params = header.params
-    kind = header.model_kind
-    if kind == "adaptive":
-        return AdaptiveModel(header.alphabet_size, params)
-    if kind == "static":
-        return StaticModel(header.model_data, params)
-    if kind == "huffman":
-        # Kraft equality, in O(S) before any codebook is built: only a
-        # complete code tiles the grid.
-        lengths, pw = header.model_data, params.powers
-        if sum(pw[params.N - ln] for ln in lengths if ln) != params.size:
-            raise ContainerError("huffman code lengths do not form a complete code")
-        return HuffmanModel(canonical_codebook(lengths), params)
-    if kind == "unary":
-        return UnaryModel(params)
-    raise ContainerError(f"unknown model kind {kind!r}")
+    """The model of a container header, and its kind's translate tables."""
+    kind = _KINDS[header.model_kind]
+    if header.alphabet_size > kind.alphabet_size:
+        raise ContainerError(f"alphabet of {header.alphabet_size} symbols is too large")
+    return kind.model(header), kind.tables(header.model_data)
 
 
 def _encode_container(data, params, args, freq_file=None):
     """Encode a byte message with the coding flags of args; returns the
     container bytes."""
-    alphabet_size, descriptor = _build_encode_model(args.model, data, params, freq_file)
+    kind = _KINDS[args.model]
     header = ContainerHeader(
         params=params,
         ar=not args.no_ar,
         flush=args.flush,
         model_kind=args.model,
-        alphabet_size=alphabet_size,
-        model_data=descriptor,
+        alphabet_size=kind.alphabet_size,
+        model_data=kind.payload(data, params, freq_file),
         digit_count=0,
     )
     # Built from the header, as padc decode does, so both ends agree.
-    model = _model_from_header(header)
+    model, (to_symbols, _) = _model_from_header(header)
     writer = DigitWriter(params)
     enc = Encoder(model, ar=header.ar)
-    enc.run(repeat(0, len(data)) if model.kind == "unary" else data, writer)
+    enc.run(data.translate(to_symbols), writer)
     writer.push_digits(enc.finish(flush=header.flush))
     header.digit_count = writer.digit_count
     return write_container(header, writer.to_bytes())
 
 
 def _decode_bytes(header, reader):
-    model = _model_from_header(header)
+    model, (_, to_bytes) = _model_from_header(header)
     out = Decoder(reader, model, ar=header.ar).run(bytearray())
-    if model.kind == "unary":
-        return bytes([header.model_data]) * len(out)
-    return bytes(out)
+    return bytes(out).translate(to_bytes)
 
 
 def cmd_encode(args):
     params = _check_grid(args.P, args.N)
-    try:
-        data = Path(args.input).read_bytes()
-    except OSError as e:
-        raise CliError(f"cannot read input: {e}", EXIT_IO) from None
+    data = _read(args.input)
     try:
         blob = _encode_container(data, params, args, args.freq_file)
     except ValueError as e:
@@ -200,10 +207,7 @@ def cmd_encode(args):
 
 
 def cmd_decode(args):
-    try:
-        blob = Path(args.input).read_bytes()
-    except OSError as e:
-        raise CliError(f"cannot read input: {e}", EXIT_IO) from None
+    blob = _read(args.input)
     try:
         header, reader = read_container(blob)
         data = _decode_bytes(header, reader)
@@ -219,10 +223,7 @@ def cmd_decode(args):
 
 
 def cmd_stats(args):
-    try:
-        blob = Path(args.input).read_bytes()
-    except OSError as e:
-        raise CliError(f"cannot read input: {e}", EXIT_IO) from None
+    blob = _read(args.input)
     try:
         header, reader = read_container(blob)
     except ContainerError as e:
@@ -278,7 +279,7 @@ def build_parser():
     def coding_flags(p):
         p.add_argument(
             "--model",
-            choices=["static", "adaptive", "unary", "huffman"],
+            choices=list(_KINDS),
             default="adaptive",
         )
         p.add_argument("-P", type=int, default=2, help="prime grid base")

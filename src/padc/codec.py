@@ -33,6 +33,13 @@ DigitWriter.push_number; the decoder reads stream digits ahead of its
 window, _READ_DIGITS at a time with DigitReader.value, and takes the
 digits its window is owed off the front of that number.
 
+A model is any object with params (its GridParams); eom, the end marker
+Encoder.finish() codes, or None when the digit count ends the stream;
+code(s, l, r) -> (l', r'), the subinterval of symbol s in (l, r);
+decode(g, l, r) -> (l', r', s), the symbol whose subinterval holds g;
+and validate_for_coding(), which both ends call once as they start and
+which raises ValueError for a model that cannot code a whole stream.
+
 A coding session (state, model, stream) is single-owner; sessions over
 distinct states are independent.
 """
@@ -293,8 +300,6 @@ class Decoder:
         if self.params.N < 2:
             raise ValueError("coding needs a grid of level N >= 2")
         model.validate_for_coding()
-        if model.eom is None and getattr(model, "min_codeword_len", 1) == 0:
-            raise ValueError("delimiterless decoding needs nonempty codewords")
         self.state = CoderState(self.params)
         self.ar = ar
         self.floor = width_floor(self.params)

@@ -31,7 +31,8 @@ Container layout:
                 marker)
     ...         one run of Elias gamma codes, zero-padded to a whole
                 byte; each value v >= 1 is bitlen(v) - 1 zeros, then v
-                in binary.  The run holds, as _model_layout gives:
+                in binary.  The run holds the model payload, each value
+                plus the bias that _MODEL_LAYOUTS gives its kind:
                   static   -> the S+1 counts (1 .. 2**32-1), end marker
                               last
                   huffman  -> each of the S canonical code lengths plus
@@ -41,6 +42,11 @@ Container layout:
                 then the digit count plus 1 (count < 2**64), so no value
                 is wider than 65 bits
     ...         digit blocks, then the final partial block (big-endian)
+
+ContainerHeader.model_data holds the payload's values without their
+bias, always as a list: [] for adaptive, [byte] for unary.  Each model
+kind is one _MODEL_LAYOUTS row, its id and payload layout; the one rule
+about a kind's meaning here is the format's own: huffman is P=2 only.
 
 Writers and readers are single-owner objects; distinct instances are
 independent.
@@ -60,7 +66,16 @@ VERSION = 3
 FLAG_AR = 0x01
 FLAG_FLUSH_LEFT = 0x02
 
-MODEL_IDS = {"static": 0, "adaptive": 1, "huffman": 2, "unary": 3}
+# kind -> (model id, layout): layout(S, N) is the (values, bias, top) of
+# its payload at alphabet size S and grid level N: the number of values,
+# what is added to each to store it, and the largest value allowed.
+_MODEL_LAYOUTS = {
+    "static": (0, lambda S, N: (S + 1, 0, 2**32 - 1)),
+    "adaptive": (1, lambda S, N: (0, 1, 0)),
+    "huffman": (2, lambda S, N: (S, 1, N)),
+    "unary": (3, lambda S, N: (1, 1, 255)),
+}
+MODEL_IDS = {kind: row[0] for kind, row in _MODEL_LAYOUTS.items()}
 MODEL_KINDS = {v: k for k, v in MODEL_IDS.items()}
 
 _HEADER = struct.Struct("<4sBBBBBH")
@@ -298,29 +313,16 @@ class ContainerHeader:
     flush: str  # "min" or "left"
     model_kind: str
     alphabet_size: int
-    model_data: object  # counts / lengths / symbol byte / None
+    model_data: list  # the model payload's values, without their bias
     digit_count: int
-
-
-def _model_layout(kind, S, N):
-    """(values, bias, top) of a kind's model payload for alphabet size S
-    and grid level N: how many values it holds, what is added to each to
-    store it as a gamma value, and the largest value it may hold."""
-    return {
-        "static": (S + 1, 0, 2**32 - 1),
-        "huffman": (S, 1, N),
-        "adaptive": (0, 1, 0),
-        "unary": (1, 1, 255),
-    }[kind]
 
 
 def _run_values(header: ContainerHeader):
     """The values of header's gamma run, each at least 1: the model
     payload's, then the digit count plus 1.  Raises ValueError for a
     payload or digit count outside its range."""
-    kind, data, S = header.model_kind, header.model_data, header.alphabet_size
-    count, bias, top = _model_layout(kind, S, header.params.N)
-    model = [data or 0] if kind == "unary" else list(data or ())
+    kind, model = header.model_kind, header.model_data
+    count, bias, top = _MODEL_LAYOUTS[kind][1](header.alphabet_size, header.params.N)
     if len(model) != count:
         raise ValueError(f"{kind} model needs {count} values, got {len(model)}")
     for v in model:
@@ -418,15 +420,11 @@ def read_container(data: bytes):
     kind = MODEL_KINDS[model_id]
     if kind == "huffman" and p != 2:
         raise ContainerError("huffman containers support P=2 only")
-    count, bias, top = _model_layout(kind, alphabet_size, n)
+    count, bias, top = _MODEL_LAYOUTS[kind][1](alphabet_size, n)
     values, pos = _read_run(data, _HEADER.size, count + 1)
     model = [v - bias for v in values[:-1]]
     if max(model, default=0) > top:
         raise ContainerError(f"{kind} model value {max(model)} above {top}")
-    if kind == "unary":
-        model = model[0]
-    elif kind == "adaptive":
-        model = None
     digit_count = values[-1] - 1
     expected = payload_length(params, digit_count)
     payload = data[pos:]

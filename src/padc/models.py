@@ -40,8 +40,6 @@ class StaticModel:
     coding session starts, not here, so narrow test tables stay usable.
     """
 
-    kind = "static"
-
     def __init__(self, counts, params: GridParams):
         counts = list(counts)
         if not counts:
@@ -113,8 +111,6 @@ class AdaptiveModel:
     is cum[i] + bisect_left(recent, i), two C-level lookups.  The table
     is rebuilt every _REBUILD_EVERY symbols and when counts are halved.
     """
-
-    kind = "adaptive"
 
     def __init__(self, alphabet_size, params: GridParams):
         if alphabet_size < 1:
@@ -202,8 +198,6 @@ class HuffmanModel(StaticModel):
     and streams are delimited by their digit count instead.
     """
 
-    kind = "huffman"
-
     def __init__(self, codebook, params: GridParams, eom_symbol=None):
         if not codebook:
             raise ValueError("empty codebook")
@@ -235,20 +229,17 @@ class HuffmanModel(StaticModel):
         self.symbols = order
         self.rows = {s: i for i, s in enumerate(order)}
 
-    @property
-    def min_codeword_len(self):
-        return min(len(cw) for cw in self.codebook.values())
-
     def validate_for_coding(self):
-        pass
+        # Whole grid cells code at any total, but an empty codeword emits
+        # no digits, so without an end marker its count would be lost.
+        if self.eom is None and not all(self.codebook.values()):
+            raise ValueError("delimiterless coding needs nonempty codewords")
 
 
 class UnaryModel:
     """Single-symbol model: each symbol shaves one grid point off the
     right edge, end-of-message takes the last remaining point.  With a
     grid of 2**(N'+1) this reproduces Golomb-Rice codes of parameter N'."""
-
-    kind = "unary"
 
     num_symbols = 1
     eom = 1

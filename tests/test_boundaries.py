@@ -4,7 +4,9 @@ The oracles must stay independent of the coder they check, core is the
 bottom of the import graph, and the reference transitions stay out of
 the shipped import graph except for the two names the encoder still
 calls.  The container's byte layout stays in digitio, the one module
-that imports struct, and the CLI builds its models in one place.
+that imports struct, and the CLI builds its models in one place.  No
+model names its kind, and the coder asks a model for nothing past the
+contract in codec's docstring.
 """
 
 import ast
@@ -82,20 +84,60 @@ def test_only_digitio_imports_struct():
     assert [m for m in MODULES if "struct" in imported_modules(m)] == ["digitio"]
 
 
+def calls(tree, names):
+    """Every call in tree of a name or attribute in names."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in names
+    ]
+
+
 def test_cli_builds_models_only_from_the_header():
     # The encoder and decoder get their model from one factory, so both
-    # ends of a container build the same model.
+    # ends of a container build the same model: only the model builders of
+    # the _KINDS rows construct models, and only _model_from_header calls
+    # a row's builder.
     kinds = {"AdaptiveModel", "StaticModel", "HuffmanModel", "UnaryModel"}
     tree = ast.parse((SRC / "cli.py").read_text())
-    callers = {}
-    for top in tree.body:
-        for node in ast.walk(top):
-            if not isinstance(node, ast.Call):
-                continue
-            name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            if name in kinds:
-                callers.setdefault(getattr(top, "name", None), set()).add(name)
-    assert callers == {"_model_from_header": kinds}
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    (table,) = [
+        n.value
+        for n in tree.body
+        if isinstance(n, ast.Assign) and [t.id for t in n.targets] == ["_KINDS"]
+    ]
+    builders = [row.args[1] for row in table.values]  # _Kind(payload, model, ...)
+    builders = [defs[b.id] if isinstance(b, ast.Name) else b for b in builders]
+    built = [c for b in builders for c in calls(b, kinds)]
+    assert {c.func.id for c in built} == kinds
+    assert len(built) == len(calls(tree, kinds))
+    named = {b.name for b in builders if isinstance(b, ast.FunctionDef)}
+    assert not calls(tree, named)
+    assert [name for name, f in defs.items() if calls(f, {"model"})] == [
+        "_model_from_header"
+    ]
+
+
+def test_models_carry_no_kind_tag_and_codec_probes_none():
+    # A model kind is declared in the CLI's and the container's tables
+    # alone: no model class names its kind, and the coder asks a model
+    # only for what the contract lists, without getattr probes.
+    tree = ast.parse((SRC / "models.py").read_text())
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        # methods and properties, class attributes and self.<name> = ...
+        names = {n.name for n in ast.walk(cls) if isinstance(n, ast.FunctionDef)}
+        for stmt in cls.body:
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                names.update(getattr(t, "id", None) for t in ast.walk(stmt))
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                names.add(node.attr)
+        assert "kind" not in names, cls.name
+    codec = ast.parse((SRC / "codec.py").read_text())
+    assert not calls(codec, {"getattr"})
 
 
 def top_level_names(module):

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from padc import read_container
-from padc.cli import main
+from padc.cli import _KINDS, main
+from padc.digitio import MODEL_IDS
 from helpers import make_text
 
 
@@ -27,6 +28,10 @@ def roundtrip(tmp_path, capsys, data, *flags):
     assert code == 0, err
     assert out.read_bytes() == data
     return packed
+
+
+def test_every_container_kind_is_a_model_choice():
+    assert set(_KINDS) == set(MODEL_IDS)
 
 
 class TestEncodeDecode:

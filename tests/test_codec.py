@@ -238,6 +238,14 @@ class TestHuffmanEquivalence:
         with pytest.raises(ValueError):
             Decoder(reader, model)
 
+    def test_empty_codeword_rejected_for_delimiterless_encode(self):
+        # Its symbols emit no digits, so the stream could not count them.
+        with pytest.raises(ValueError, match="nonempty codewords"):
+            Encoder(HuffmanModel({0: ()}, P2N4))
+        model = HuffmanModel({0: ()}, P2N4, eom_symbol=0)
+        digits = encode([], model)
+        assert decode(digits, HuffmanModel({0: ()}, P2N4, eom_symbol=0)) == []
+
 
 class TestRoundtrips:
     def test_static_abacabad(self):

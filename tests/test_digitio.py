@@ -230,7 +230,7 @@ def header_for(params, **kw):
         flush="min",
         model_kind="adaptive",
         alphabet_size=256,
-        model_data=None,
+        model_data=[],
         digit_count=0,
     )
     defaults.update(kw)
@@ -283,12 +283,12 @@ class TestContainer:
             params,
             model_kind="unary",
             alphabet_size=1,
-            model_data=65,
+            model_data=[65],
             flush="left",
             digit_count=4,
         )
         got, reader = read_container(write_container(header, w.to_bytes()))
-        assert got.model_data == 65
+        assert got.model_data == [65]
         assert got.flush == "left"
         assert reader.get_digits(4) == [1, 0, 1, 0]
 
@@ -345,7 +345,7 @@ class TestContainer:
         [
             (P3N6, "static", 4, [7, 3, 2, 1, 1]),
             (P2N8, "huffman", 6, [0, 3, 1, 0, 2, 3]),
-            (P2N8, "unary", 1, 65),
+            (P2N8, "unary", 1, [65]),
         ],
         ids=["static", "huffman", "unary"],
     )
@@ -372,9 +372,9 @@ class TestContainer:
             (P2N8, "static", 2, [1, 1]),
             (P2N8, "huffman", 2, [1, 256]),
             (P3N6, "huffman", 2, [1, 1]),
-            (P2N8, "unary", 1, 256),
-            (P2N8, "adaptive", 0x10000, None),
-            (P2N8, "fenwick", 256, None),
+            (P2N8, "unary", 1, [256]),
+            (P2N8, "adaptive", 0x10000, []),
+            (P2N8, "fenwick", 256, []),
         ],
         ids=[
             "count-0",
@@ -456,10 +456,10 @@ class TestContainer:
             model_data = [data.draw(st.integers(0, min(n, 255))) for _ in range(s)]
         elif kind == "unary":
             s = 1
-            model_data = data.draw(st.integers(0, 255))
+            model_data = [data.draw(st.integers(0, 255))]
         else:
             s = data.draw(st.integers(1, 300))
-            model_data = None
+            model_data = []
         digits = data.draw(st.lists(st.integers(0, p - 1), max_size=64))
         w = DigitWriter(params)
         w.push_digits(digits)
@@ -542,7 +542,7 @@ class TestGammaRun:
         run = bytes([0b01010100, 0b01010000])
         blob = write_container(header, b"\xa0")
         assert blob == fixed_header("huffman", 3, N=8) + run + b"\xa0"
-        unary = header_for(P2N8, model_kind="unary", alphabet_size=1, model_data=0)
+        unary = header_for(P2N8, model_kind="unary", alphabet_size=1, model_data=[0])
         # byte value plus 1: 1; digit count plus 1: 1
         assert write_container(unary, b"") == fixed_header(
             "unary", 1, N=8
@@ -602,6 +602,26 @@ class TestGammaRun:
         # a second and about 40 MiB.
         blob = fixed_header("huffman", 65535) + _write_run([32] * 65535 + [1])
         read_container(blob)
+        start = time.perf_counter()
+        assert decode_exit_code(tmp_path, capsys, blob) == 3
+        assert time.perf_counter() - start < 1
+        tracemalloc.start()
+        try:
+            assert decode_exit_code(tmp_path, capsys, blob) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
+    def test_alphabet_above_the_kind_rejected_before_any_codebook(
+        self, tmp_path, capsys
+    ):
+        # 65,535 code lengths at N=31, one of 15 and the rest 16: a complete
+        # code, so the Kraft check passes, over an alphabet of 65,535 where
+        # the CLI's huffman kind has 256 symbols.  With no digits a
+        # codebook of it would decode to nothing and exit 0.
+        blob = fixed_header("huffman", 65535) + _write_run([16] + [17] * 65534 + [1])
+        assert len(read_container(blob)[0].model_data) == 65535
         start = time.perf_counter()
         assert decode_exit_code(tmp_path, capsys, blob) == 3
         assert time.perf_counter() - start < 1
