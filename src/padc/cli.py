@@ -192,6 +192,8 @@ def _decode_bytes(header, reader):
 
 
 def cmd_encode(args):
+    if args.freq_file is not None and args.model != "static":
+        raise CliError("--freq-file applies to --model static only", EXIT_USAGE)
     params = _check_grid(args.P, args.N)
     data = _read(args.input)
     try:

@@ -33,6 +33,11 @@ DigitWriter.push_number; the decoder reads stream digits ahead of its
 window, _READ_DIGITS at a time with DigitReader.value, and takes the
 digits its window is owed off the front of that number.
 
+At P=2 both loops fold with shifts and masks: the level-1 point is
+top = 2**(N-1), which is a two-digit CPython int from N=31 on, so each
+// or % by it is a long division.  P>2 keeps the division, and so do
+prefix renorm and the width at every P: shifts there measured no faster.
+
 A model is any object with params (its GridParams); eom, the end marker
 Encoder.finish() codes, or None when the digit count ends the stream;
 code(s, l, r) -> (l', r'), the subinterval of symbol s in (l, r);
@@ -148,6 +153,7 @@ class Encoder:
         P, N, size, pw = self.params.P, self.params.N, self.params.size, self.params.powers
         top = pw[N - 1]
         rpw = pw[N - 1 :: -1]
+        S, tmask = N - 1, top - 1  # P=2: top is 1 << S
         floor, ar, binary = self.floor, self.ar, P == 2
         st = self.state
         l, r, pivot, pending = st.l, st.r, st.pivot, st.pending
@@ -189,7 +195,18 @@ class Encoder:
                             n_prefix += n
                             l = (l % q) * u
                             r = (r % q) * u
-                    if ar:
+                    if ar and binary:
+                        # The fold below on bits: the pivot is 1, and k is
+                        # S less the bit length of the wider arm.
+                        if l < top <= r:
+                            k = S - ((r | ~l) & tmask).bit_length()
+                            if k:
+                                pivot = 1
+                                pending += k
+                                n_fold += k
+                                l = l << k & tmask
+                                r = r << k & tmask | top
+                    elif ar:
                         tl, tr = l // top, r // top
                         if tr - tl == 1:
                             # k folds at once: the shorter of the runs of P-1
@@ -339,6 +356,7 @@ class Decoder:
         P, N, size, pw = self.params.P, self.params.N, self.params.size, self.params.powers
         top = pw[N - 1]
         rpw = pw[N - 1 :: -1]
+        S, tmask = N - 1, top - 1  # P=2: top is 1 << S
         floor, ar, binary = self.floor, self.ar, P == 2
         reader = self.reader
         value, apw = reader.value, self._apw
@@ -382,7 +400,19 @@ class Decoder:
                             r = (r % q) * u
                             g = (g % q) * u
                             m += n
-                    if ar:
+                    if ar and binary:
+                        if l < top <= r:
+                            k = S - ((r | ~l) & tmask).bit_length()
+                            if k:
+                                if c + m > budget + pending:
+                                    raise _exhausted()
+                                pivot = 1
+                                pending += k
+                                l = l << k & tmask
+                                r = r << k & tmask | top
+                                g = g & top | g << k & tmask
+                                m += k
+                    elif ar:
                         tl, tr = l // top, r // top
                         if tr - tl == 1:
                             k = N - 1 - bisect_right(pw, max(top - 1 - l % top, r % top))

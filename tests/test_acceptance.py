@@ -17,6 +17,8 @@ import io
 import random
 import time
 
+import pytest
+
 from padc import (
     Encoder,
     GridParams,
@@ -91,6 +93,7 @@ def test_criterion_1_paper_tables():
     report(1, "paper table fixtures", started)
 
 
+@pytest.mark.slow
 def test_criterion_2_exhaustive_oracle_equivalence():
     started = time.perf_counter()
     intervals = 0
@@ -164,6 +167,7 @@ def test_criterion_4_golomb_rice_equivalence():
     report(4, "Golomb-Rice equivalence", started)
 
 
+@pytest.mark.slow
 def test_criterion_5_roundtrip_fuzz():
     started = time.perf_counter()
     rng = random.Random(1005)

@@ -166,6 +166,18 @@ class TestErrors:
         flags = ("--model", "unary", "-P", 251, "-N", 3)
         assert run_cli(capsys, "encode", *flags, src, out)[0] == 0
 
+    @pytest.mark.parametrize("model", sorted(set(_KINDS) - {"static"}))
+    def test_freq_file_needs_static_model(self, tmp_path, capsys, model):
+        src, out = tmp_path / "s", tmp_path / "o"
+        src.write_bytes(b"aaaa")
+        flags = ("encode", "--model", model)
+        assert run_cli(capsys, *flags, src, out)[0] == 0
+        out.unlink()
+        code, _, err = run_cli(capsys, *flags, "--freq-file", tmp_path / "absent", src, out)
+        assert code == 1
+        assert "--model static only" in err
+        assert not out.exists()
+
     def test_adaptive_needs_room(self, tmp_path, capsys):
         src = tmp_path / "s"
         src.write_bytes(b"x")

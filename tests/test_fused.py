@@ -165,7 +165,7 @@ def trial(rng, kind, params, length):
     return (lambda: AdaptiveModel(alphabet, params)), msg
 
 
-GRIDS = [(2, 4), (2, 31), (2, 40), (2, 61), (3, 5), (3, 12), (5, 4), (5, 9)]
+GRIDS = [(2, 4), (2, 30), (2, 31), (2, 32), (2, 40), (2, 61), (3, 5), (3, 12), (5, 4), (5, 9)]
 KINDS = ["static", "adaptive", "huffman", "unary", "edge"]
 
 
@@ -299,7 +299,7 @@ class ReferenceDecoder:
 
 @pytest.mark.parametrize("chunk", [1, 3, codec._READ_DIGITS])
 @pytest.mark.parametrize("kind", KINDS + ["huffman-count"])
-@pytest.mark.parametrize("p,n", [(2, 4), (2, 31), (2, 61), (3, 5), (5, 9)])
+@pytest.mark.parametrize("p,n", [(2, 4), (2, 30), (2, 31), (2, 32), (2, 61), (3, 5), (5, 9)])
 def test_read_ahead_lockstep(p, n, kind, chunk, monkeypatch):
     """Read-ahead digits are cached, not consumed: one run() and runs of
     random length both end where the per-event reference does, in
