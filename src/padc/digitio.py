@@ -14,7 +14,9 @@ the declared digit count anyway.  Readers reject a block outside its
 range and nonzero padding.  This packing rule lives here alone: the
 coder hands runs of digits over as one base-P number
 (DigitWriter.push_number) and reads them back in chunks the same way
-(DigitReader.value).
+(DigitReader.value).  Digit lists (push_digits, digits, get_digits)
+convert block by block at every P; only those two per-chunk calls keep
+a byte path for P = 2, where a block is one byte.
 
 Container layout:
 
@@ -87,11 +89,6 @@ class ContainerError(ValueError):
     """Raised for malformed or unsupported container bytes."""
 
 
-# P=2 digit values <-> ASCII "0"/"1", for reading digits as a number.
-_TO_CHARS = bytes.maketrans(b"\x00\x01", b"01")
-_FROM_CHARS = bytes.maketrans(b"01", b"\x00\x01")
-
-
 def _nbytes(v):
     return (v.bit_length() + 7) // 8
 
@@ -137,23 +134,22 @@ def _digit_table(P):
     return k, [bytes(t) for t in product(range(P), repeat=k)]
 
 
-def _bit_list(v, n):
-    """The n binary digits of v < 2**n as a list, first most significant."""
-    return list(format(v | 1 << n, "b")[1:].encode().translate(_FROM_CHARS))
-
-
-def _base_digits(v, n, P):
-    """The n base-P digits of v < P**n as bytes, first most significant."""
+def _base_digits(values, n, P):
+    """The n base-P digits of each v < P**n in values, first most
+    significant, joined in order as bytes."""
     k, table = _digit_table(P)
-    if n <= k:
-        return table[v][k - n :]
+    if n == k:
+        return b"".join(map(table.__getitem__, values))
     q, head = divmod(n, k)
-    parts = []
-    for _ in range(q):
-        v, low = divmod(v, len(table))
-        parts.append(table[low])
-    parts.append(table[v][k - head :])
-    return b"".join(reversed(parts))
+    out = []
+    for v in values:
+        parts = []
+        for _ in range(q):
+            v, low = divmod(v, len(table))
+            parts.append(table[low])
+        parts.append(table[v][k - head :])
+        out.append(b"".join(reversed(parts)))
+    return b"".join(out)
 
 
 class DigitWriter:
@@ -190,14 +186,11 @@ class DigitWriter:
 
     def push_digits(self, digits):
         digits = bytes(digits)  # ValueError for values outside 0..255
-        P = self.params.P
+        P, B = self.params.P, self._B
         if digits and max(digits) >= P:
             raise ValueError(f"digit {max(digits)} out of range for P={P}")
-        if P == 2:
-            self.push_number(int(b"0" + digits.translate(_TO_CHARS), 2), len(digits))
-            return
-        for i in range(0, len(digits), self._B):
-            piece = digits[i : i + self._B]
+        for i in range(0, len(digits), B):
+            piece = digits[i : i + B]
             v = 0
             for d in piece:
                 v = v * P + d
@@ -205,15 +198,10 @@ class DigitWriter:
 
     def digits(self) -> list:
         """Every digit pushed so far, in order."""
-        P, B, K, n = self.params.P, self._B, self._K, self.digit_count
-        if P == 2:
-            return _bit_list(int.from_bytes(self._buf, "big") << n % B | self._acc, n)
-        buf = self._buf
-        full = b"".join(
-            _base_digits(int.from_bytes(buf[i : i + K], "big"), B, P)
-            for i in range(0, len(buf), K)
-        )
-        return list(full + _base_digits(self._acc, n % B, P))
+        P, B, K, buf = self.params.P, self._B, self._K, self._buf
+        blocks = [int.from_bytes(buf[i : i + K], "big") for i in range(0, len(buf), K)]
+        tail = _base_digits([self._acc], self.digit_count % B, P)
+        return list(_base_digits(blocks, B, P) + tail)
 
     def to_bytes(self) -> bytes:
         P, r = self.params.P, self.digit_count % self._B
@@ -237,17 +225,19 @@ class DigitReader:
             raise ContainerError(f"final digit block outside base {P}")
         if last % P ** (d - r):
             raise ContainerError("nonzero padding digits after the final digit")
-        if P > 2:
-            # Every block as a B-digit number, the final one zero-extended.
-            self._pw = pw = _powers(P)
+        # Every block as a B-digit number, the final one zero-extended.
+        self._pw = pw = _powers(P)
+        if K == 1:  # then d = B: the bytes are the blocks, the final one too
+            blocks = payload[: full + k]
+        else:
             blocks = [
                 int.from_bytes(payload[i : i + K], "big") for i in range(0, full * K, K)
             ]
-            if blocks and max(blocks) >= pw[B]:
-                raise ContainerError(f"digit block outside base {P}")
             if r:
                 blocks.append(last // P ** (d - r) * pw[B - r])
-            self._blocks = blocks
+        if pw[B] < 256**K and max(blocks, default=0) >= pw[B]:
+            raise ContainerError(f"digit block outside base {P}")
+        self._blocks = blocks
         self._B = B
         self.params = params
         self.payload = payload
@@ -260,21 +250,13 @@ class DigitReader:
         w.push_digits(digits)
         return cls(params, w.to_bytes(), w.digit_count)
 
-    def get_digit(self) -> int:
-        self.consumed += 1
-        return self.value(self.consumed - 1, 1)
-
     def get_digits(self, n: int) -> list:
         start = self.consumed
         self.consumed += n
-        P = self.params.P
-        if P == 2:
-            return _bit_list(self.value(start, n), n)
-        B, blocks = self._B, self._blocks
+        P, B, blocks = self.params.P, self._B, self._blocks
         i = start // B
-        out = b"".join(
-            _base_digits(v, B, P) for v in blocks[i : (start + n + B - 1) // B]
-        )[start - i * B : start - i * B + n]
+        out = _base_digits(blocks[i : (start + n + B - 1) // B], B, P)
+        out = out[start - i * B : start - i * B + n]
         return list(out.ljust(n, b"\0"))
 
     def value(self, start: int, n: int) -> int:

@@ -4,7 +4,8 @@ The oracles must stay independent of the coder they check, core is the
 bottom of the import graph, and the reference transitions stay out of
 the shipped import graph except for the two names the encoder still
 calls.  The container's byte layout stays in digitio, the one module
-that imports struct, and the CLI builds its models in one place.  No
+that imports struct, where digit lists take one path for every P.  The
+CLI builds its models in one place.  No
 model names its kind, and the coder asks a model for nothing past the
 contract in codec's docstring.
 """
@@ -82,6 +83,29 @@ def imported_modules(module):
 
 def test_only_digitio_imports_struct():
     assert [m for m in MODULES if "struct" in imported_modules(m)] == ["digitio"]
+
+
+def test_digitio_branches_on_binary_only_in_the_chunk_and_container_calls():
+    # Digit lists go through the block tables at every P.  Only the coder's
+    # per-chunk calls keep a P=2 byte path, and the container functions the
+    # format's rule that huffman is P=2 only.
+    tree = ast.parse((SRC / "digitio.py").read_text())
+
+    def is_p(node):
+        return getattr(node, "id", getattr(node, "attr", None)) in ("P", "p")
+
+    def is_two(node):
+        return isinstance(node, ast.Constant) and node.value == 2
+
+    found = set()
+    for f in ast.walk(tree):
+        if isinstance(f, ast.FunctionDef):
+            for node in ast.walk(f):
+                if isinstance(node, ast.Compare):
+                    sides = [node.left, *node.comparators]
+                    if any(map(is_p, sides)) and any(map(is_two, sides)):
+                        found.add(f.name)
+    assert found == {"push_number", "value", "write_container", "read_container"}
 
 
 def calls(tree, names):

@@ -92,8 +92,8 @@ class TestWriterReader:
         assert r.get_digits(len(digits)) == digits
 
     @given(
-        st.sampled_from([2, 3, 5]),
-        st.lists(st.integers(0, 4), max_size=200),
+        st.sampled_from([2, 3, 5, 251]),
+        st.lists(st.integers(0, 250), max_size=600),
     )
     @settings(max_examples=200, deadline=None)
     def test_roundtrip_property(self, p, raw):
@@ -197,7 +197,7 @@ class TestBlockLayout:
         assert w.to_bytes() == pack_bits(digits)
         assert len(w.to_bytes()) == payload_length(P2N8, len(digits))
 
-    @given(st.sampled_from([3, 5, 7]), st.integers(0, 1400), st.randoms())
+    @given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 1400), st.randoms())
     @settings(max_examples=60, deadline=None)
     def test_dense_blocks_roundtrip(self, P, count, rng):
         params = GridParams(P, 4)

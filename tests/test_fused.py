@@ -251,8 +251,8 @@ def test_all_zero_stream_trips_budget_at_fixed_point():
 class ReferenceDecoder:
     """Mirror of ReferenceEncoder on a window g of N stream digits: each
     event shifts the window like the interval edges and takes the digits
-    it is owed at once, one DigitReader.get_digit() per digit, so nothing
-    is read ahead of the window."""
+    it is owed at once, one DigitReader.get_digits(1) per digit, so
+    nothing is read ahead of the window."""
 
     def __init__(self, reader, model, ar):
         self.reader = reader
@@ -268,8 +268,12 @@ class ReferenceDecoder:
     def boundary(self):
         return self.reader.consumed, self.g, self.state.as_tuple()
 
+    def _digit(self):
+        (d,) = self.reader.get_digits(1)
+        return d
+
     def _prefix_and_folds(self):
-        st, params, get = self.state, self.params, self.reader.get_digit
+        st, params, get = self.state, self.params, self._digit
         top = params.powers[params.N - 1]
         if st.pending == 0:
             for _ in renorm_prefix(st):
@@ -285,7 +289,7 @@ class ReferenceDecoder:
         if s == self.model.eom:
             return s
         if st.pending and straddle_flush(st) is not None:
-            self.g = (self.g % top) * params.P + self.reader.get_digit()
+            self.g = (self.g % top) * params.P + self._digit()
         self._prefix_and_folds()
         while st.pending == 0 and interval_width(st.l, st.r, params) < self.floor:
             boundary = (st.l // top + 1) * top
