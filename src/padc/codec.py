@@ -133,7 +133,7 @@ class Encoder:
         self.valves = 0
 
     def step(self, symbol):
-        """Code one symbol; returns the digits it emitted."""
+        """Code one symbol; returns the digits it emitted, one byte each."""
         writer = DigitWriter(self.params)
         self.run((symbol,), writer)
         self._check_floor()
@@ -262,6 +262,7 @@ class Encoder:
         pins the final point.  Models without an end marker
         (model.eom is None) emit digit-count-delimited streams and flush
         nothing; their state must already be back at the full interval.
+        Returns the digits emitted, one byte each.
         """
         if self.finished:
             raise ValueError("encoder already finished")
@@ -297,7 +298,7 @@ class Encoder:
             else:
                 out.append(st.pivot)
         self.finished = True
-        return out
+        return bytes(out)
 
 
 class Decoder:
@@ -466,7 +467,8 @@ def _exhausted():
 
 
 def encode(symbols, model, *, ar: bool = True, flush: str = "min"):
-    """Encode a symbol sequence; returns the emitted digits as a list."""
+    """Encode a symbol sequence; returns the emitted digits, one byte
+    each."""
     enc = Encoder(model, ar=ar)
     writer = DigitWriter(model.params)
     enc.run(symbols, writer)

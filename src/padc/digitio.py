@@ -14,7 +14,8 @@ the declared digit count anyway.  Readers reject a block outside its
 range and nonzero padding.  This packing rule lives here alone: the
 coder hands runs of digits over as one base-P number
 (DigitWriter.push_number) and reads them back in chunks the same way
-(DigitReader.value).  Digit lists (push_digits, digits, get_digits)
+(DigitReader.value).  Digit strings, one byte per digit (push_digits
+takes any sequence of ints; digits and get_digits return bytes),
 convert block by block at every P; only those two per-chunk calls keep
 a byte path for P = 2, where a block is one byte.
 
@@ -82,6 +83,7 @@ MODEL_KINDS = {v: k for k, v in MODEL_IDS.items()}
 
 _HEADER = struct.Struct("<4sBBBBBH")
 _MAX_BLOCK = 512
+_JOIN_RUN = 512  # table entries _base_digits joins at a time
 _MAX_GAMMA = 65  # bits in the widest run value, a digit count of 2**64 - 1 plus 1
 
 
@@ -138,8 +140,9 @@ def _base_digits(values, n, P):
     """The n base-P digits of each v < P**n in values, first most
     significant, joined in order as bytes."""
     k, table = _digit_table(P)
-    if n == k:
-        return b"".join(map(table.__getitem__, values))
+    if n == k:  # in runs, so that join's per-item buffers stay bounded
+        get, runs = table.__getitem__, range(0, len(values), _JOIN_RUN)
+        return b"".join([b"".join(map(get, values[i : i + _JOIN_RUN])) for i in runs])
     q, head = divmod(n, k)
     out = []
     for v in values:
@@ -196,12 +199,14 @@ class DigitWriter:
                 v = v * P + d
             self.push_number(v, len(piece))
 
-    def digits(self) -> list:
-        """Every digit pushed so far, in order."""
+    def digits(self) -> bytes:
+        """Every digit pushed so far, in order, one byte each."""
         P, B, K, buf = self.params.P, self._B, self._K, self._buf
-        blocks = [int.from_bytes(buf[i : i + K], "big") for i in range(0, len(buf), K)]
+        blocks = buf  # when K == 1, the bytes are the blocks
+        if K > 1:
+            blocks = [int.from_bytes(buf[i : i + K], "big") for i in range(0, len(buf), K)]
         tail = _base_digits([self._acc], self.digit_count % B, P)
-        return list(_base_digits(blocks, B, P) + tail)
+        return _base_digits(blocks, B, P) + tail
 
     def to_bytes(self) -> bytes:
         P, r = self.params.P, self.digit_count % self._B
@@ -250,14 +255,19 @@ class DigitReader:
         w.push_digits(digits)
         return cls(params, w.to_bytes(), w.digit_count)
 
-    def get_digits(self, n: int) -> list:
+    def get_digits(self, n: int) -> bytes:
+        """The next n digits, one byte each; moves the read position."""
         start = self.consumed
         self.consumed += n
         P, B, blocks = self.params.P, self._B, self._blocks
+        if n < B:  # fewer than a block: convert only these
+            k, table = _digit_table(P)
+            v = self.value(start, n)
+            return table[v][k - n :] if n <= k else _base_digits((v,), n, P)
         i = start // B
         out = _base_digits(blocks[i : (start + n + B - 1) // B], B, P)
         out = out[start - i * B : start - i * B + n]
-        return list(out.ljust(n, b"\0"))
+        return out.ljust(n, b"\0")
 
     def value(self, start: int, n: int) -> int:
         """Digits start .. start+n-1 read as one base-P number, first digit

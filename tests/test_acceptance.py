@@ -160,7 +160,7 @@ def test_criterion_4_golomb_rice_equivalence():
     }
     for w, code in table.items():
         got = encode([0] * w, UnaryModel(params), flush="left")
-        assert got == [int(c) for c in code], (w, got)
+        assert got == bytes(int(c) for c in code), (w, got)
     for w in range(0, 1001):
         out = encode([0] * w, UnaryModel(params), flush="left")
         assert [1 - d for d in out] == rice_encode(3, w)

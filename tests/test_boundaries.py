@@ -4,7 +4,7 @@ The oracles must stay independent of the coder they check, core is the
 bottom of the import graph, and the reference transitions stay out of
 the shipped import graph except for the two names the encoder still
 calls.  The container's byte layout stays in digitio, the one module
-that imports struct, where digit lists take one path for every P.  The
+that imports struct, where digit strings take one path for every P.  The
 CLI builds its models in one place.  No
 model names its kind, and the coder asks a model for nothing past the
 contract in codec's docstring.
@@ -86,7 +86,7 @@ def test_only_digitio_imports_struct():
 
 
 def test_digitio_branches_on_binary_only_in_the_chunk_and_container_calls():
-    # Digit lists go through the block tables at every P.  Only the coder's
+    # Digit strings go through the block tables at every P.  Only the coder's
     # per-chunk calls keep a P=2 byte path, and the container functions the
     # format's rule that huffman is P=2 only.
     tree = ast.parse((SRC / "digitio.py").read_text())

@@ -114,7 +114,7 @@ class TestEncodeDecode:
         )
         assert code == 0
         header, reader = read_container(packed.read_bytes())
-        assert reader.get_digits(header.digit_count) == [1, 0, 1, 0]
+        assert reader.get_digits(header.digit_count) == bytes([1, 0, 1, 0])
 
     def test_compresses_text(self, tmp_path, capsys):
         data = make_text(random.Random(5), 40_000)

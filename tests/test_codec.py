@@ -7,6 +7,7 @@ from padc import (
     CoderState,
     Decoder,
     DigitReader,
+    DigitWriter,
     Encoder,
     GridParams,
     HuffmanModel,
@@ -156,7 +157,7 @@ class TestWidthFloor:
 class TestGolombRice:
     @pytest.mark.parametrize("w,code", GOLOMB_TABLE.items())
     def test_paper_table(self, w, code):
-        assert encode([0] * w, UnaryModel(P2N4), flush="left") == code
+        assert encode([0] * w, UnaryModel(P2N4), flush="left") == bytes(code)
 
     @pytest.mark.parametrize("w,code", GOLOMB_TABLE.items())
     def test_table_decodes(self, w, code):
@@ -174,9 +175,9 @@ class TestGolombRice:
         for w in (3, 8, 20, 100):
             out = encode([0] * w, UnaryModel(P2N4), flush="left")
             q, rem = divmod(w, 8)
-            assert out[:q] == [0] * q
+            assert out[:q] == bytes([0] * q)
             tail = to_path((16 - 1 - rem) % 16, P2N4)
-            assert out[q:] == list(tail.digits)
+            assert out[q:] == bytes(tail.digits)
 
 
 class TestHuffmanEquivalence:
@@ -207,7 +208,7 @@ class TestHuffmanEquivalence:
         params = GridParams(2, 10)
         msg = [rng.randrange(12) for _ in range(200)]
         digits = encode(msg, HuffmanModel(book, params))
-        assert digits == [d for s in msg for d in book[s]]
+        assert digits == bytes(d for s in msg for d in book[s])
         assert decode(digits, HuffmanModel(book, params)) == msg
 
     def test_stream_with_end_marker(self):
@@ -309,11 +310,29 @@ class TestRoundtrips:
         msg = [1] * 2000
         enc = Encoder(StaticModel(counts, params))
         for s in msg:
-            assert enc.step(s) == []
+            assert enc.step(s) == b""
         assert enc.state.pending == 1999
         digits = list(enc.finish())
         assert 2000 <= len(digits) <= 2005
         assert decode(digits, StaticModel(counts, params)) == msg
+
+
+@pytest.mark.parametrize("p", [2, 3, 251])
+def test_digit_sequences_are_bytes(p):
+    params = GridParams(p, 6)
+    msg = [random.Random(p).randrange(4) for _ in range(300)]
+    enc = Encoder(StaticModel([5, 3, 2, 1, 1], params))
+    steps = [enc.step(s) for s in msg]
+    last = enc.finish()
+    digits = encode(msg, StaticModel([5, 3, 2, 1, 1], params))
+    assert {type(d) for d in steps + [last, digits]} == {bytes}
+    assert b"".join(steps) + last == digits
+    writer = DigitWriter(params)
+    writer.push_digits(digits)
+    assert type(writer.digits()) is bytes
+    reader = DigitReader(params, writer.to_bytes(), writer.digit_count)
+    assert type(reader.get_digits(1)) is bytes  # shorter than a block
+    assert type(reader.get_digits(len(digits) + 600)) is bytes
 
 
 class _FinalInterval:
@@ -371,7 +390,7 @@ class TestFinish:
                 r = rng.randrange(l + 1, (pivot + 1) * top)
             for flush in ("min", "left"):
                 args = (params, l, r, pivot, pending, flush)
-                assert _finish(*args) == _reference_finish(*args)
+                assert _finish(*args) == bytes(_reference_finish(*args))
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_edge_cases(self, p):
@@ -387,7 +406,7 @@ class TestFinish:
             ((top - 1, top + 1, 1, 3, "left"), [1]),
         ]
         for args, expected in cases:
-            assert _finish(params, *args) == expected
+            assert _finish(params, *args) == bytes(expected)
             assert _reference_finish(params, *args) == expected
 
 

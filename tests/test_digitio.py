@@ -36,7 +36,7 @@ class TestWriterReader:
         w = DigitWriter(P2N8)
         w.push_digits([1, 0, 1, 0])
         r = DigitReader(P2N8, w.to_bytes(), w.digit_count)
-        assert r.get_digits(4) == [1, 0, 1, 0]
+        assert r.get_digits(4) == bytes([1, 0, 1, 0])
 
     def test_push_empty(self):
         w = DigitWriter(P2N8)
@@ -56,8 +56,8 @@ class TestWriterReader:
 
     def test_zero_extension(self):
         r = DigitReader.from_digits(P2N8, [1, 0, 1])
-        assert r.get_digits(5) == [1, 0, 1, 0, 0]
-        assert r.get_digits(0) == []
+        assert r.get_digits(5) == bytes([1, 0, 1, 0, 0])
+        assert r.get_digits(0) == b""
         assert r.consumed == 5
 
     def test_rejects_bad_digit(self):
@@ -74,7 +74,7 @@ class TestWriterReader:
         with pytest.raises(ValueError, match="byte"):
             DigitReader(GridParams(257, 3), b"", 0)
         r = DigitReader.from_digits(GridParams(251, 3), [250, 0, 7])
-        assert r.get_digits(3) == [250, 0, 7]
+        assert r.get_digits(3) == bytes([250, 0, 7])
 
     def test_base3_final_block_padding(self):
         # 201 in base 3 is 19; three digits take one byte, zero-padded to
@@ -83,13 +83,13 @@ class TestWriterReader:
         w.push_digits([2, 0, 1])
         assert w.to_bytes() == bytes([19 * 9])
         r = DigitReader(P3N6, w.to_bytes(), 3)
-        assert r.get_digits(4) == [2, 0, 1, 0]
+        assert r.get_digits(4) == bytes([2, 0, 1, 0])
 
     def test_large_roundtrip(self):
         rng = random.Random(0)
         digits = [rng.randrange(2) for _ in range(10_000)]
         r = DigitReader.from_digits(P2N8, digits)
-        assert r.get_digits(len(digits)) == digits
+        assert r.get_digits(len(digits)) == bytes(digits)
 
     @given(
         st.sampled_from([2, 3, 5, 251]),
@@ -100,7 +100,39 @@ class TestWriterReader:
         params = GridParams(p, 4)
         digits = [d % p for d in raw]
         r = DigitReader.from_digits(params, digits)
-        assert r.get_digits(len(digits)) == digits
+        assert r.get_digits(len(digits)) == bytes(digits)
+
+    @given(
+        st.sampled_from([2, 3, 5, 251]),
+        st.lists(st.integers(0, 250), max_size=1000),
+        st.lists(st.integers(0, 500), max_size=20),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_reads_in_pieces_match_one_read(self, p, raw, sizes):
+        """get_digits in pieces shorter and longer than a block, also past
+        the declared count, gives the digits of one read."""
+        digits = bytes(d % p for d in raw)
+        r = DigitReader.from_digits(GridParams(p, 4), digits)
+        got = b"".join([r.get_digits(n) for n in sizes])
+        assert got == digits[: sum(sizes)].ljust(sum(sizes), b"\0")
+        assert r.consumed == sum(sizes)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_get_digits_peak_under_three_bytes_a_digit(self, p):
+        # The digits themselves take one byte each; converting them may
+        # hold about as much again, but no list of ints (8 bytes a digit).
+        rng = random.Random(p)
+        count = 100_003
+        digits = bytes(rng.randrange(p) for _ in range(count))
+        r = DigitReader.from_digits(GridParams(p, 4), digits)
+        tracemalloc.start()
+        try:
+            got = r.get_digits(count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * count
+        assert got == digits
 
     @given(
         st.sampled_from([2, 3, 5]),
@@ -209,7 +241,7 @@ class TestBlockLayout:
         payload = w.to_bytes()
         assert payload == pack_blocks(digits, P, B)
         assert len(payload) == payload_length(params, count)
-        assert w.digits() == digits
+        assert w.digits() == bytes(digits)
         r = DigitReader(params, payload, count)
         padded = digits + [0] * (B + 60)
         # windows across every block boundary, then random ones; both
@@ -220,7 +252,7 @@ class TestBlockLayout:
             want = int("0" + "".join(map(str, padded[start : start + n])), P)
             assert r.value(start, n) == want
         cut = rng.randrange(count + 1)
-        assert r.get_digits(cut) + r.get_digits(count - cut + 5) == padded[: count + 5]
+        assert r.get_digits(cut) + r.get_digits(count - cut + 5) == bytes(padded[: count + 5])
 
 
 def header_for(params, **kw):
@@ -255,7 +287,7 @@ class TestContainer:
         blob = write_container(header, w.to_bytes())
         got, reader = read_container(blob)
         assert got == header
-        assert reader.get_digits(17) == digits
+        assert reader.get_digits(17) == bytes(digits)
 
     def test_static_roundtrip(self):
         params = GridParams(3, 10)
@@ -290,7 +322,7 @@ class TestContainer:
         got, reader = read_container(write_container(header, w.to_bytes()))
         assert got.model_data == [65]
         assert got.flush == "left"
-        assert reader.get_digits(4) == [1, 0, 1, 0]
+        assert reader.get_digits(4) == bytes([1, 0, 1, 0])
 
     def test_bad_magic(self):
         blob = bytearray(write_container(header_for(P2N8), b""))
@@ -474,7 +506,7 @@ class TestContainer:
         )
         got, reader = read_container(write_container(header, w.to_bytes()))
         assert got == header
-        assert reader.get_digits(len(digits)) == digits
+        assert reader.get_digits(len(digits)) == bytes(digits)
 
 
 def gamma_values():
