@@ -202,9 +202,7 @@ class DigitWriter:
     def digits(self) -> bytes:
         """Every digit pushed so far, in order, one byte each."""
         P, B, K, buf = self.params.P, self._B, self._K, self._buf
-        blocks = buf  # when K == 1, the bytes are the blocks
-        if K > 1:
-            blocks = [int.from_bytes(buf[i : i + K], "big") for i in range(0, len(buf), K)]
+        blocks = [int.from_bytes(buf[i : i + K], "big") for i in range(0, len(buf), K)]
         tail = _base_digits([self._acc], self.digit_count % B, P)
         return _base_digits(blocks, B, P) + tail
 
@@ -261,9 +259,7 @@ class DigitReader:
         self.consumed += n
         P, B, blocks = self.params.P, self._B, self._blocks
         if n < B:  # fewer than a block: convert only these
-            k, table = _digit_table(P)
-            v = self.value(start, n)
-            return table[v][k - n :] if n <= k else _base_digits((v,), n, P)
+            return _base_digits((self.value(start, n),), n, P)
         i = start // B
         out = _base_digits(blocks[i : (start + n + B - 1) // B], B, P)
         out = out[start - i * B : start - i * B + n]
