@@ -3,12 +3,17 @@ container inspection, and a corpus benchmark harness.
 
 Exit codes: 0 success, 1 usage or model misconfiguration, 2 I/O failure,
 3 bad container format or corrupt stream.
+
+main() may be called any number of times in one process: the parser is
+built once, and a call that prints no usage message leaves no garbage
+for the cycle collector.
 """
 
 import argparse
 import sys
 import time
 from collections import Counter
+from functools import cache
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -274,8 +279,10 @@ def cmd_bench(args):
     return EXIT_OK
 
 
+@cache
 def build_parser():
-    parser = _Parser(prog="padc", description=__doc__)
+    # The help text is the docstring without its note for library callers.
+    parser = _Parser(prog="padc", description=__doc__.partition("\n\nmain()")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def coding_flags(p):

@@ -52,7 +52,7 @@ class GridParams:
             raise ValueError(f"P**N too large (P={self.P}, N={self.N})")
         object.__setattr__(self, "size", size)
         object.__setattr__(
-            self, "powers", tuple(self.P ** i for i in range(self.N + 1))
+            self, "powers", tuple([self.P ** i for i in range(self.N + 1)])
         )
 
 

@@ -125,7 +125,7 @@ def _tail(P, r):
 @cache
 def _powers(P):
     """P**i for i = 0 .. B."""
-    return tuple(P**i for i in range(_block(P)[0] + 1))
+    return tuple([P**i for i in range(_block(P)[0] + 1)])
 
 
 @cache

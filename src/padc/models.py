@@ -317,7 +317,7 @@ def canonical_codebook(lengths):
     for length, s in order:
         code <<= length - prev_len
         prev_len = length
-        book[s] = tuple((code >> (length - 1 - j)) & 1 for j in range(length))
+        book[s] = tuple([(code >> (length - 1 - j)) & 1 for j in range(length)])
         code += 1
     return book
 

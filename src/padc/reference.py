@@ -152,7 +152,7 @@ def path_digit(k: int, i: int, params: GridParams) -> int:
 
 def leading_path_digits(k: int, n: int, params: GridParams) -> tuple:
     """First n path digits of index k, in emission order."""
-    return tuple(path_digit(k, i, params) for i in range(n))
+    return tuple([path_digit(k, i, params) for i in range(n)])
 
 
 def prefix_rescale(k: int, n: int, params: GridParams) -> int:

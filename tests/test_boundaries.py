@@ -7,7 +7,8 @@ calls.  The container's byte layout stays in digitio, the one module
 that imports struct, where digit strings take one path for every P.  The
 CLI builds its models in one place.  No
 model names its kind, and the coder asks a model for nothing past the
-contract in codec's docstring.
+contract in codec's docstring.  No module builds a tuple from a
+generator.
 """
 
 import ast
@@ -179,3 +180,16 @@ def test_reference_definitions_live_only_there():
         if m != "reference":
             assert not top_level_names(m) & moved, m
     assert not moved & set(padc.__all__)
+
+
+def test_no_tuple_of_a_generator():
+    # tuple() of a generator allocates for ten items and resizes, so the
+    # block ends on the free list of its final size, which the next such
+    # tuple never draws from: repeated calls grow that list up to its cap.
+    # A list first gives the tuple its final size.
+    for m in MODULES:
+        tree = ast.parse((SRC / f"{m}.py").read_text())
+        for call in calls(tree, {"tuple"}):
+            assert not any(isinstance(a, ast.GeneratorExp) for a in call.args), (
+                f"{m}.py:{call.lineno}"
+            )

@@ -1,9 +1,15 @@
 import csv
+import gc
 import io
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import padc
 from padc import read_container
 from padc.cli import _KINDS, main
 from padc.digitio import MODEL_IDS
@@ -317,3 +323,82 @@ class TestBench:
         h = entropy(counts)
         assert float(row[3]) <= h * 1.02
         assert float(row[3]) >= h * 0.9
+
+
+class TestRepeatedCalls:
+    """main() is called over and over in one process (padc bench, library
+    callers, a benchmark's closed loop), so a call must leave nothing
+    behind that only the cycle collector or a fresh process gives back."""
+
+    FLAGS = [
+        [],  # adaptive, P=2, N=31
+        ["--model", "static"],
+        ["--model", "static", "-P", "3", "-N", "20", "--no-ar"],  # the valve path
+        ["--model", "huffman"],
+        ["--model", "unary"],
+    ]
+
+    def test_round_trips_leave_no_garbage(self, tmp_path, capsys):
+        rng = random.Random(11)
+        text = tmp_path / "text"
+        text.write_bytes(make_text(rng, 1024))
+        same = tmp_path / "same"
+        same.write_bytes(b"q" * 1024)
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for i in range(10):
+            (corpus / f"{i}.txt").write_bytes(make_text(rng, 100))
+        packed, back = tmp_path / "packed", tmp_path / "back"
+
+        def one_round():
+            for flags in self.FLAGS:
+                src = same if "unary" in flags else text
+                assert main(["encode", *flags, str(src), str(packed)]) == 0
+                assert main(["decode", str(packed), str(back)]) == 0
+            assert main(["bench", "--model", "huffman", str(corpus)]) == 0
+            capsys.readouterr()
+
+        one_round()  # fills the caches: parser, block and digit tables
+        rounds = 20
+        gc.collect()
+        gc.disable()
+        try:
+            blocks = sys.getallocatedblocks()
+            for _ in range(rounds):
+                one_round()
+            grown = sys.getallocatedblocks() - blocks
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert unreachable == 0
+        # A round is six round trips (the bench call counts as one).  The
+        # bound leaves room for CPython's bounded free lists of dicts and
+        # lists, and for the free list of 20-item tuples, which CPython 3.11
+        # fills and never draws from.
+        assert grown <= 10 * 6 * rounds
+
+    def test_shared_parser_is_reentrant(self, tmp_path, capsys):
+        # A usage error, then flags, then none: each call parses afresh,
+        # and its container is the one a fresh process writes.
+        src = tmp_path / "src"
+        src.write_bytes(make_text(random.Random(12), 1024))
+        flagged = ["--model", "static", "--no-ar", "-P", "3", "-N", "20"]
+        code, _, err = run_cli(capsys, "encode", "--model", "nope", src, tmp_path / "x")
+        assert code == 1 and "invalid choice" in err
+        assert run_cli(capsys, "encode", *flagged, src, tmp_path / "a")[0] == 0
+        assert run_cli(capsys, "encode", src, tmp_path / "b")[0] == 0
+        header, _ = read_container((tmp_path / "b").read_bytes())
+        assert header.model_kind == "adaptive" and header.ar and header.flush == "min"
+        assert (header.params.P, header.params.N) == (2, 31)
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(padc.__file__).parents[1]), env.get("PYTHONPATH", "")]
+        )
+        for flags, name in [(flagged, "a"), ([], "b")]:
+            fresh = tmp_path / f"fresh-{name}"
+            subprocess.run(
+                [sys.executable, "-m", "padc", "encode", *flags, src, fresh],
+                env=env, check=True, capture_output=True,
+            )
+            assert (tmp_path / name).read_bytes() == fresh.read_bytes()
