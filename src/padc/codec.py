@@ -40,10 +40,15 @@ prefix renorm and the width at every P: shifts there measured no faster.
 
 A model is any object with params (its GridParams); eom, the end marker
 Encoder.finish() codes, or None when the digit count ends the stream;
-code(s, l, r) -> (l', r'), the subinterval of symbol s in (l, r);
-decode(g, l, r) -> (l', r', s), the symbol whose subinterval holds g;
-and validate_for_coding(), which both ends call once as they start and
-which raises ValueError for a model that cannot code a whole stream.
+code(s, w) -> (a, b), the cell of symbol s within the width w of the
+current interval; decode(off, w) -> (a, b, s), the cell and symbol that
+hold the offset off; and validate_for_coding(), which both ends call
+once as they start and which raises ValueError for a model that cannot
+code a whole stream.  Cells are offsets from the interval's left edge,
+0 <= a <= off < b <= w, so the coder owns the ring arithmetic: it passes
+the width it keeps for the floor check, raises ValueError for a window
+outside the interval and for an empty cell, and moves the edges to
+(l + a) % P**N and (l + b) % P**N.  It branches on no model kind.
 
 A coding session (state, model, stream) is single-owner; sessions over
 distinct states are independent.
@@ -157,13 +162,17 @@ class Encoder:
         floor, ar, binary = self.floor, self.ar, P == 2
         st = self.state
         l, r, pivot, pending = st.l, st.r, st.pivot, st.pending
+        w = (r - l) % size or size
         acc = nacc = 0  # digits not yet pushed, as the nacc base-P digits of acc
         n_prefix = n_flush = n_flush_digits = n_fold = n_valve = 0
         try:
             for s in symbols:
                 if s == eom:
                     raise ValueError("end marker is coded by finish()")
-                l, r = code(s, l, r)
+                a, b = code(s, w)
+                if a >= b:
+                    raise _empty_cell(a, b, w)
+                l, r = (l + a) % size, (l + b) % size
                 if pending:
                     # Straddle exits and the valve's prefix go through the
                     # reference functions (see the module docstring).
@@ -276,7 +285,11 @@ class Encoder:
                     "delimiterless model left residual state; cannot flush"
                 )
         else:
-            st.l, st.r = self.model.code(self.model.eom, st.l, st.r)
+            w = interval_width(st.l, st.r, self.params)
+            a, b = self.model.code(self.model.eom, w)
+            if a >= b:
+                raise _empty_cell(a, b, w)
+            st.l, st.r = (st.l + a) % self.params.size, (st.l + b) % self.params.size
             if st.pending:
                 flushed = straddle_flush(st)
                 if flushed is not None:
@@ -369,13 +382,18 @@ class Decoder:
         append = out.append
         st = self.state
         l, r, pivot, pending = st.l, st.r, st.pivot, st.pending
+        w = (r - l) % size or size
         g, c, m = self.g, reader.consumed, 0  # c digits read, m more owed
         buf, nb = self._ahead
         try:
             for _ in repeat(None) if limit is None else range(limit):
                 if until_end and c >= budget:
                     break
-                l, r, s = decode(g, l, r)
+                off = (g - l) % size
+                if off >= w:
+                    raise ValueError(f"code point {g} outside interval [{l}, {r})")
+                a, b, s = decode(off, w)
+                l, r = (l + a) % size, (l + b) % size
                 if s == eom:
                     self.done = True
                     break
@@ -464,6 +482,10 @@ class Decoder:
 
 def _exhausted():
     return MalformedStreamError("digit stream exhausted before the message ended")
+
+
+def _empty_cell(a, b, w):
+    return ValueError(f"empty symbol interval [{a}, {b}) in width {w}")
 
 
 def encode(symbols, model, *, ar: bool = True, flush: str = "min"):

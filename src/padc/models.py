@@ -1,25 +1,28 @@
-"""Probability models: symbol -> subinterval subdivision over the grid.
+"""Probability models: symbol -> cell of the current interval.
 
-A model turns the current interval (l, r) into the subinterval of an
-incoming symbol (code) and back (decode).  Encoder and decoder must
-drive their models with the same symbol sequence so that any internal
-updates stay in sync.  Static, Huffman and unary models are immutable
-and shareable; an adaptive model instance belongs to one coding session.
+A model splits the width w of the coder's current interval into one
+cell per symbol: code(s, w) returns the offsets (a, b) of symbol s's
+cell, and decode(off, w) returns (a, b, s) for the cell that holds the
+offset off, with 0 <= a <= off < b <= w.  The coder adds the interval's
+left edge, wraps on the ring and rejects an empty cell or an offset
+past the width; a model sees neither the interval's edges nor the ring.
+Encoder and decoder must drive their models with the same symbol
+sequence so that any internal updates stay in sync.  Static, Huffman
+and unary models are immutable and shareable; an adaptive model
+instance belongs to one coding session.
 
-Intervals follow ring semantics: r = 0 stands for P**N, so (0, 0) is the
-full interval.  Subdivision uses the integer form
+Table models subdivide with the integer form
 
-    l_new = l + floor(w * C[i] / T),  r_new = l + floor(w * C[i+1] / T)
+    a = floor(w * C[i] / T),  b = floor(w * C[i+1] / T)
 
-with w the interval width and C the cumulative count table, which tiles
-[l, r) exactly: no gaps, no overlaps.  When w equals the table total T
-the floors are exact, l_new = l + C[i] and r_new = l + C[i+1], and the
-table models take that path without a multiply or divide.  A Huffman
-model always does: its total is P**N and every symbol starts from the
-full ring.  A coding static model never does, as its total is at most
-P**(N-2), below the width floor.  The adaptive model reads C from a
-table built at its last rebuild plus a sorted log of the symbols coded
-since then.
+with C the cumulative count table and T its total, which tiles [0, w)
+exactly: no gaps, no overlaps.  When w equals T the floors are exact,
+a = C[i] and b = C[i+1], and the table models take that path without a
+multiply or divide.  A Huffman model always does: its total is P**N and
+every symbol starts from the full ring.  A coding static model never
+does, as its total is at most P**(N-2), below the width floor.  The
+adaptive model reads C from a table built at its last rebuild plus a
+sorted log of the symbols coded since then.
 """
 
 from bisect import bisect_left, bisect_right, insort
@@ -47,7 +50,6 @@ class StaticModel:
         if any(c < 1 for c in counts):
             raise ValueError("all symbol counts must be >= 1")
         self.params = params
-        self.counts = counts
         self.num_symbols = len(counts)
         self.cum = [0]
         for c in counts:
@@ -67,36 +69,24 @@ class StaticModel:
                 f" (P={self.params.P}, N={self.params.N})"
             )
 
-    def code(self, symbol, l, r):
+    def code(self, symbol, w):
         i = self.rows.get(symbol)
         if i is None:
             raise ValueError(f"unknown symbol {symbol!r}")
-        size, cum, total = self.params.size, self.cum, self.total
-        w = (r - l) % size or size
+        cum, total = self.cum, self.total
         if w == total:
-            return (l + cum[i]) % size, (l + cum[i + 1]) % size
-        l_new = (l + w * cum[i] // total) % size
-        r_new = (l + w * cum[i + 1] // total) % size
-        if l_new == r_new and self.counts[i] != total:
-            raise ValueError(
-                f"empty symbol interval (width {w} too narrow for total {total})"
-            )
-        return l_new, r_new
+            return cum[i], cum[i + 1]
+        return w * cum[i] // total, w * cum[i + 1] // total
 
-    def decode(self, g, l, r):
-        size, cum, total = self.params.size, self.cum, self.total
-        w = (r - l) % size or size
-        off = (g - l) % size
-        if off >= w:
-            raise ValueError(f"code point {g} outside interval [{l}, {r})")
+    def decode(self, off, w):
+        cum, total = self.cum, self.total
         if w == total:
             i = bisect_right(cum, off) - 1
-            return (l + cum[i]) % size, (l + cum[i + 1]) % size, self.symbols[i]
+            return cum[i], cum[i + 1], self.symbols[i]
         # Row i has the largest C = cum[i] with floor(w*C/total) <= off, so
         # its cell holds off and is never empty.
         i = bisect_right(cum, (total * (off + 1) - 1) // w) - 1
-        l_new = (l + w * cum[i] // total) % size
-        return l_new, (l + w * cum[i + 1] // total) % size, self.symbols[i]
+        return w * cum[i] // total, w * cum[i + 1] // total, self.symbols[i]
 
 
 class AdaptiveModel:
@@ -139,33 +129,20 @@ class AdaptiveModel:
         self._cum = list(accumulate(self._count[:-1], initial=0))
         self._recent = []
 
-    def code(self, symbol, l, r):
+    def code(self, symbol, w):
         if not 0 <= symbol < self.num_symbols:
             raise ValueError(f"unknown symbol {symbol!r}")
-        size = self.params.size
-        w = (r - l) % size or size
         count, recent, total = self._count, self._recent, self.total
         lo = self._cum[symbol] + bisect_left(recent, symbol)
         c = count[symbol]
-        l_new = (l + w * lo // total) % size
-        r_new = (l + w * (lo + c) // total) % size
-        if l_new == r_new and c != total:
-            raise ValueError(
-                f"empty symbol interval (width {w} too narrow for total {total})"
-            )
         count[symbol] = c + 1
         self.total = total + 1
         insort(recent, symbol)
         if len(recent) == _REBUILD_EVERY or total >= self.cap:
             self._rebuild()
-        return l_new, r_new
+        return w * lo // total, w * (lo + c) // total
 
-    def decode(self, g, l, r):
-        size = self.params.size
-        w = (r - l) % size or size
-        off = (g - l) % size
-        if off >= w:
-            raise ValueError(f"code point {g} outside interval [{l}, {r})")
+    def decode(self, off, w):
         count, cum, recent, total = self._count, self._cum, self._recent, self.total
         # x is the largest cumulative count C with floor(w*C/total) <= off.
         # The stale table undercounts, so its symbol is an upper bound.
@@ -177,14 +154,12 @@ class AdaptiveModel:
             lo = cum[symbol] + bisect_left(recent, symbol)
         # lo <= x < lo + c, so the located cell holds off and is never empty.
         c = count[symbol]
-        l_new = (l + w * lo // total) % size
-        r_new = (l + w * (lo + c) // total) % size
         count[symbol] = c + 1
         self.total = total + 1
         insort(recent, symbol)
         if len(recent) == _REBUILD_EVERY or total >= self.cap:
             self._rebuild()
-        return l_new, r_new, symbol
+        return w * lo // total, w * (lo + c) // total, symbol
 
 
 class HuffmanModel(StaticModel):
@@ -250,22 +225,17 @@ class UnaryModel:
     def validate_for_coding(self):
         pass
 
-    def code(self, symbol, l, r):
-        size = self.params.size
+    def code(self, symbol, w):
         if symbol == 0:
-            return l, (r - 1) % size
+            return 0, w - 1
         if symbol == self.eom:
-            return (r - 1) % size, r
+            return w - 1, w
         raise ValueError(f"unknown symbol {symbol!r}")
 
-    def decode(self, g, l, r):
-        size = self.params.size
-        if (g - l) % size >= ((r - l) % size or size):
-            raise ValueError(f"code point {g} outside interval [{l}, {r})")
-        rm1 = (r - 1) % size
-        if g == rm1:
-            return l, r, self.eom
-        return l, rm1, 0
+    def decode(self, off, w):
+        if off == w - 1:
+            return w - 1, w, self.eom
+        return 0, w - 1, 0
 
 
 def huffman_code_lengths(freqs, max_len=None):

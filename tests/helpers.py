@@ -4,6 +4,8 @@ import random
 
 from padc import (
     AdaptiveModel,
+    Decoder,
+    DigitReader,
     GridParams,
     HuffmanModel,
     StaticModel,
@@ -43,6 +45,14 @@ def random_pary_book(rng, p, max_len, max_leaves=64):
         leaves.extend(cw + (d,) for d in range(p))
     rng.shuffle(leaves)
     return {s: cw for s, cw in enumerate(leaves)}
+
+
+def decoder_at(model, l, r, g):
+    """A Decoder of model over N zero digits, set to the interval (l, r)
+    and the window g."""
+    dec = Decoder(DigitReader.from_digits(model.params, bytes(model.params.N)), model)
+    dec.state.l, dec.state.r, dec.g = l, r, g
+    return dec
 
 
 def random_trial(rng):

@@ -7,8 +7,9 @@ calls.  The container's byte layout stays in digitio, the one module
 that imports struct, where digit strings take one path for every P.  The
 CLI builds its models in one place.  No
 model names its kind, and the coder asks a model for nothing past the
-contract in codec's docstring.  No module builds a tuple from a
-generator.
+contract in codec's docstring.  A model's code and decode see offsets
+within a width, so the ring wrap lives in codec alone.  No module builds
+a tuple from a generator.
 """
 
 import ast
@@ -163,6 +164,26 @@ def test_models_carry_no_kind_tag_and_codec_probes_none():
         assert "kind" not in names, cls.name
     codec = ast.parse((SRC / "codec.py").read_text())
     assert not calls(codec, {"getattr"})
+
+
+def test_models_leave_the_ring_to_the_coder():
+    # code and decode work on offsets within the width the coder passes:
+    # no % (the wrap mod P**N) and no params (the grid) in any of them.
+    tree = ast.parse((SRC / "models.py").read_text())
+    methods = [
+        f
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for f in cls.body
+        if isinstance(f, ast.FunctionDef) and f.name in ("code", "decode")
+    ]
+    assert len(methods) == 6  # static, adaptive, unary; huffman inherits
+    for f in methods:
+        for node in ast.walk(f):
+            where = f"models.py:{getattr(node, 'lineno', f.lineno)}"
+            assert not isinstance(getattr(node, "op", None), ast.Mod), where
+            name = getattr(node, "id", getattr(node, "attr", None))
+            assert name != "params", where
 
 
 def top_level_names(module):

@@ -32,7 +32,7 @@ from padc.reference import (
     trimmed_len,
 )
 from padc.oracles import rice_encode
-from helpers import random_binary_book, random_trial
+from helpers import decoder_at, random_binary_book, random_trial
 
 P2N3 = GridParams(2, 3)
 P2N4 = GridParams(2, 4)
@@ -336,7 +336,9 @@ def test_digit_sequences_are_bytes(p):
 
 
 class _FinalInterval:
-    """Stub model whose end marker leaves a chosen final interval."""
+    """Stub model whose end marker leaves a chosen final interval.  It is
+    coded from the full ring, so the cell's offsets are the interval's
+    edges, with r = 0 standing for the width P**N."""
 
     eom = "end"
 
@@ -347,8 +349,9 @@ class _FinalInterval:
     def validate_for_coding(self):
         pass
 
-    def code(self, s, l, r):
-        return self.final
+    def code(self, s, w):
+        l, r = self.final
+        return l, r or w
 
 
 def _finish(params, l, r, pivot, pending, flush):
@@ -490,3 +493,81 @@ class TestMalformedStreams:
         enc = Encoder(StaticModel([1, 1], GridParams(2, 8)))
         with pytest.raises(ValueError):
             enc.step(1)
+
+
+class _EmptyCell(StaticModel):
+    """Static model whose symbol `empty` gets an empty cell."""
+
+    def __init__(self, counts, params, empty):
+        super().__init__(counts, params)
+        self.empty = empty
+
+    def code(self, s, w):
+        a, b = super().code(s, w)
+        return (a, a) if s == self.empty else (a, b)
+
+
+# An unknown symbol or a window outside the interval is rejected before
+# a model updates, so the tests of those errors share these instances.
+ONE_OF_EACH = [
+    StaticModel([3, 5, 2, 1], GridParams(2, 12)),
+    AdaptiveModel(5, GridParams(2, 12)),
+    HuffmanModel({"a": (0,), "b": (1,)}, GridParams(2, 12)),
+    UnaryModel(GridParams(2, 12)),
+]
+ONE_OF_EACH_IDS = ["static", "adaptive", "huffman", "unary"]
+
+
+class TestModelErrors:
+    """The coder rejects an empty cell and a window outside the interval
+    for every model; a model rejects a symbol it does not know."""
+
+    PARAMS = GridParams(2, 12)
+    COUNTS = [3, 5, 2, 1]
+    MSG = [0, 1, 0, 2, 1, 1, 0]
+
+    def boundary(self, symbols):
+        """State and digits of a clean encoder after symbols."""
+        enc = Encoder(StaticModel(self.COUNTS, self.PARAMS))
+        writer = DigitWriter(self.PARAMS)
+        enc.run(symbols, writer)
+        return enc.state.as_tuple(), writer.digits()
+
+    def test_empty_cell_in_run_stops_at_the_last_boundary(self):
+        enc = Encoder(_EmptyCell(self.COUNTS, self.PARAMS, 2))
+        writer = DigitWriter(self.PARAMS)
+        with pytest.raises(ValueError, match="empty symbol interval"):
+            enc.run(self.MSG, writer)
+        assert (enc.state.as_tuple(), writer.digits()) == self.boundary(self.MSG[:3])
+
+    def test_empty_cell_in_step_leaves_the_state(self):
+        enc = Encoder(_EmptyCell(self.COUNTS, self.PARAMS, 2))
+        for s in self.MSG[:3]:
+            enc.step(s)
+        with pytest.raises(ValueError, match="empty symbol interval"):
+            enc.step(2)
+        assert enc.state.as_tuple() == self.boundary(self.MSG[:3])[0]
+
+    def test_empty_end_marker_cell_in_finish(self):
+        enc = Encoder(_EmptyCell(self.COUNTS, self.PARAMS, 3))
+        enc.run(self.MSG, DigitWriter(self.PARAMS))
+        with pytest.raises(ValueError, match="empty symbol interval"):
+            enc.finish()
+        assert enc.state.as_tuple() == self.boundary(self.MSG)[0]
+        assert not enc.finished
+
+    @pytest.mark.parametrize("model", ONE_OF_EACH, ids=ONE_OF_EACH_IDS)
+    def test_window_outside_the_interval(self, model):
+        # left of l, at r, and past r on an interval that ends at r = 0
+        for l, r, g in [(1000, 3000, 999), (1000, 3000, 3000), (3000, 0, 5)]:
+            dec = decoder_at(model, l, r, g)
+            with pytest.raises(ValueError, match="outside interval"):
+                dec.next_symbol()
+            assert dec.state.as_tuple() == (l, r, 0, 0)
+
+    @pytest.mark.parametrize("model", ONE_OF_EACH, ids=ONE_OF_EACH_IDS)
+    def test_unknown_symbol_raises_from_the_model(self, model):
+        enc = Encoder(model)
+        with pytest.raises(ValueError, match="unknown symbol"):
+            enc.step(7)
+        assert enc.state.as_tuple() == (0, 0, 0, 0)

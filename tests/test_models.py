@@ -1,3 +1,4 @@
+import copy
 import random
 from bisect import bisect_right
 from itertools import accumulate
@@ -17,9 +18,9 @@ from padc import (
     decode,
     encode,
     huffman_code_lengths,
-    interval_width,
+    width_floor,
 )
-from helpers import random_binary_book, random_pary_book, scaled_counts
+from helpers import decoder_at, random_binary_book, random_pary_book, scaled_counts
 
 P2N4 = GridParams(2, 4)
 P2N6 = GridParams(2, 6)
@@ -27,19 +28,12 @@ P2N6 = GridParams(2, 6)
 PAPER_BOOK = {0: (0, 0, 0), 1: (0, 0, 1), 2: (1, 0), 3: (0, 1), 4: (1, 1)}
 
 
-def tile_check(model, l, r):
-    """Symbol subintervals must tile [l, r) exactly, in cum order."""
-    size = model.params.size
-    w = interval_width(l, r, model.params)
-    seen = []
-    for s in range(model.num_symbols):
-        seen.append(model.code(s, l, r))
-    widths = sum(interval_width(a, b, model.params) for a, b in seen)
-    assert widths == w
-    # edges chain once sorted by offset from l
-    seen.sort(key=lambda ab: (ab[0] - l) % size)
-    assert seen[0][0] == l
-    assert seen[-1][1] == r
+def tile_check(model, w):
+    """Symbol cells must tile [0, w) exactly, in cum order."""
+    seen = [model.code(s, w) for s in range(model.num_symbols)]
+    assert sum(b - a for a, b in seen) == w
+    assert seen[0][0] == 0
+    assert seen[-1][1] == w
     for (a1, b1), (a2, b2) in zip(seen, seen[1:]):
         assert b1 == a2
 
@@ -55,25 +49,23 @@ class TestStaticModel:
         assert m.eom == 1
 
     def test_code_sequence(self):
+        # the intervals [0, 16), [0, 8) and [4, 6), as cells of their widths
         m = StaticModel([8, 4, 2, 2], P2N4)
-        assert m.code(0, 0, 0) == (0, 8)
-        assert m.code(1, 0, 8) == (4, 6)
-        assert m.code(0, 4, 6) == (4, 5)
+        assert m.code(0, 16) == (0, 8)
+        assert m.code(1, 8) == (4, 6)
+        assert m.code(0, 2) == (0, 1)
 
     def test_decode_inverse(self):
         m = StaticModel([8, 4, 2, 2], P2N4)
-        assert m.decode(4, 0, 0) == (0, 8, 0)
+        assert m.decode(4, 16) == (0, 8, 0)
 
     def test_decode_code_inverse_exhaustive(self):
-        params = P2N6
-        m = StaticModel([5, 3, 2, 1, 1], params)
-        for l, r in [(0, 0), (0, 40), (12, 0), (7, 61), (32, 0)]:
-            w = interval_width(l, r, params)
+        m = StaticModel([5, 3, 2, 1, 1], P2N6)
+        for w in [64, 40, 52, 54, 32]:
             for off in range(w):
-                g = (l + off) % params.size
-                l2, r2, s = m.decode(g, l, r)
-                assert m.code(s, l, r) == (l2, r2)
-                assert (g - l2) % params.size < interval_width(l2, r2, params)
+                a, b, s = m.decode(off, w)
+                assert m.code(s, w) == (a, b)
+                assert a <= off < b
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -82,11 +74,14 @@ class TestStaticModel:
             StaticModel([], P2N4)
         m = StaticModel([8, 4, 2, 2], P2N4)
         with pytest.raises(ValueError):
-            m.code(9, 0, 0)
-        with pytest.raises(ValueError):
-            m.decode(9, 0, 8)
-        with pytest.raises(ValueError):
-            m.code(1, 4, 5)  # width 1 collapses the 8..12 slot
+            m.code(9, 16)
+        # Width 1 collapses the 8..12 slot to an empty cell, which the coder
+        # rejects, as it rejects a window outside the interval before the
+        # model sees an offset (tests/test_codec.py, TestModelErrors).
+        assert m.code(1, 1) == (0, 0)
+        dec = decoder_at(StaticModel([8, 4, 2, 2], GridParams(2, 6)), 0, 8, 9)
+        with pytest.raises(ValueError, match="outside interval"):
+            dec.next_symbol()
 
     def test_grid_cap(self):
         StaticModel([8, 4, 2, 2], GridParams(2, 8)).validate_for_coding()
@@ -102,12 +97,7 @@ class TestStaticModel:
             cap = params.powers[n - 2]
             counts = scaled_counts(rng, rng.randint(2, min(12, cap - 1)), cap)
             m = StaticModel(counts, params)
-            size = params.size
-            l = rng.randrange(size - m.total)
-            wmax = size - l if l else size
-            w = rng.randint(m.total, wmax)
-            r = (l + w) % size
-            tile_check(m, l, r)
+            tile_check(m, rng.randint(m.total, params.size))
 
 
 class TestAdaptiveModel:
@@ -119,22 +109,22 @@ class TestAdaptiveModel:
 
     def test_increment_on_code(self):
         m = AdaptiveModel(2, P2N6)
-        m.code(0, 0, 0)
+        m.code(0, 64)
         assert m.counts() == [2, 1, 1]
 
     def test_increment_on_decode(self):
         m = AdaptiveModel(2, P2N6)
-        m.decode(3, 0, 0)
+        m.decode(3, 64)
         assert sum(m.counts()) == 4
 
     def test_halving_at_cap(self):
         params = GridParams(2, 6)  # cap 16
         m = AdaptiveModel(3, params)
         for s in [0, 0, 2, 2, 2] + [1] * 7:
-            m.code(s, 0, 0)
+            m.code(s, 64)
         assert m.counts() == [3, 8, 4, 1]
         assert m.total == 16  # at the cap, not past it: no halving yet
-        m.code(2, 0, 0)  # total 17 passes the cap: [3, 8, 5, 1] is halved
+        m.code(2, 64)  # total 17 passes the cap: [3, 8, 5, 1] is halved
         assert m.counts() == [1, 4, 2, 1]
         assert m.total == 8
 
@@ -145,9 +135,8 @@ class TestAdaptiveModel:
         rng = random.Random(3)
         for _ in range(10_000):
             s = rng.randrange(8)
-            l, r = enc.code(s, 0, 0)
-            l2, r2, s2 = dec.decode(l, 0, 0)
-            assert (l2, r2, s2) == (l, r, s)
+            a, b = enc.code(s, params.size)
+            assert dec.decode(a, params.size) == (a, b, s)
             assert enc.counts() == dec.counts()
 
     def test_rejects_oversized_alphabet(self):
@@ -173,34 +162,23 @@ class TestAdaptiveModel:
         for step in range(4000):
             total = sum(counts)
             if step % 7 == 0:
-                l, r = 0, 0
+                w = size
             else:
-                l = rng.randrange(size)
                 w = rng.randint(1 if step % 5 == 0 else total, size)
-                r = (l + w) % size
-            w = interval_width(l, r, params)
             cells = [
-                ((l + w * lo // total) % size, (l + w * (lo + c) // total) % size)
+                (w * lo // total, w * (lo + c) // total)
                 for lo, c in zip(accumulate(counts, initial=0), counts)
             ]
             if step < stretch or rng.random() < 0.5:
                 s = 0 if step < stretch else min(int(rng.expovariate(0.6)), alphabet)
-                a, b = cells[s]
-                if a == b and counts[s] != total:
-                    with pytest.raises(ValueError):
-                        m.code(s, l, r)
-                    assert m.counts() == counts
-                    continue
-                assert m.code(s, l, r) == (a, b)
+                # An empty cell is the coder's to reject, after this update.
+                assert m.code(s, w) == cells[s]
             else:
-                g = (l + rng.randrange(w)) % size
-                s = next(
-                    i for i, (a, b) in enumerate(cells)
-                    if (g - a) % size < interval_width(a, b, params) and a != b
-                )
-                x = (total * ((g - l) % size + 1) - 1) // w
+                off = rng.randrange(w)
+                s = next(i for i, (a, b) in enumerate(cells) if a <= off < b)
+                x = (total * (off + 1) - 1) // w
                 stale_steps += bisect_right(m._cum, x) - 1 - s
-                assert m.decode(g, l, r) == (*cells[s], s)
+                assert m.decode(off, w) == (*cells[s], s)
             counts[s] += 1
             if sum(counts) > cap:
                 counts = [max(1, c // 2) for c in counts]
@@ -208,10 +186,10 @@ class TestAdaptiveModel:
             assert m.total == sum(counts)
         if stretch:  # the stale table overshot and decode stepped down
             assert stale_steps > 0
+        with pytest.raises(ValueError, match="outside interval"):
+            decoder_at(m, 3, 5, 5).next_symbol()  # point outside [3, 5)
         with pytest.raises(ValueError):
-            m.decode(5, 3, 5)  # point outside [3, 5)
-        with pytest.raises(ValueError):
-            m.code(alphabet + 1, 0, 0)
+            m.code(alphabet + 1, size)
 
 
 class TestTableModels:
@@ -219,8 +197,9 @@ class TestTableModels:
     def test_match_naive_reference(self, case):
         """StaticModel and HuffmanModel code/decode agree with the plain
         floor(w*C/T) subdivision over a cumulative table built here, on
-        random intervals: narrow ones empty some cells (code raises) and
-        random points fall outside the interval (decode raises)."""
+        random widths: narrow ones empty some cells (the coder rejects
+        them) and random points fall outside the interval (the coder
+        raises before the model sees an offset)."""
         rng = random.Random(case)
         if case == "static":
             params = GridParams(2, 12)
@@ -241,37 +220,26 @@ class TestTableModels:
             counts = [params.powers[params.N - len(book[s])] for s in rows]
         size, total = params.size, sum(counts)
         cum = list(accumulate(counts, initial=0))
-        raised = {"code": 0, "decode": 0}
+        found = {"empty": 0, "outside": 0}
         for step in range(3000):
             l = rng.randrange(size)
             w = rng.randint(1, size) if step % 3 else rng.randint(1, 3 * len(rows))
-            r = (l + w) % size
-            cells = [
-                ((l + w * cum[i] // total) % size, (l + w * cum[i + 1] // total) % size)
-                for i in range(len(rows))
-            ]
+            cells = [(w * c // total, w * d // total) for c, d in zip(cum, cum[1:])]
             i = rng.randrange(len(rows))
-            a, b = cells[i]
-            if a == b and counts[i] != total:
-                with pytest.raises(ValueError, match="empty symbol interval"):
-                    m.code(rows[i], l, r)
-                raised["code"] += 1
-            else:
-                assert m.code(rows[i], l, r) == (a, b)
+            found["empty"] += cells[i][0] == cells[i][1]
+            assert m.code(rows[i], w) == cells[i]
             g = rng.randrange(size)
-            if (g - l) % size >= w:
+            off = (g - l) % size
+            if off >= w:
                 with pytest.raises(ValueError, match="outside interval"):
-                    m.decode(g, l, r)
-                raised["decode"] += 1
+                    decoder_at(m, l, (l + w) % size, g).next_symbol()
+                found["outside"] += 1
                 continue
-            i = next(
-                i for i, (a, b) in enumerate(cells)
-                if a != b and (g - a) % size < interval_width(a, b, params)
-            )
-            assert m.decode(g, l, r) == (*cells[i], rows[i])
-        assert min(raised.values()) > 0
+            i = next(i for i, (a, b) in enumerate(cells) if a <= off < b)
+            assert m.decode(off, w) == (*cells[i], rows[i])
+        assert min(found.values()) > 0
         with pytest.raises(ValueError, match="unknown symbol"):
-            m.code("absent", 0, 0)
+            m.code("absent", size)
 
 
     @pytest.mark.parametrize(
@@ -287,11 +255,10 @@ class TestTableModels:
         ],
     )
     def test_whole_ring_exhaustive(self, case):
-        """At w == T the subdivision floor(w*C/T) is C itself.  On every
-        interval that starts at some l and spans the whole ring (r = l, a
-        wrapped interval for l > 0), and on width T where T < P**N, code
-        and decode match the naive floor form for every row and every
-        point."""
+        """At w == T the subdivision floor(w*C/T) is C itself.  On the
+        whole ring (width P**N, from any start) and on width T where
+        T < P**N, code and decode match the naive floor form for every row
+        and every offset."""
         P2N5 = GridParams(2, 5)
         books = {
             "paper-p2n5": (PAPER_BOOK, P2N5),
@@ -318,47 +285,38 @@ class TestTableModels:
         assert (total == size) == (case != "static-below")
         cum = list(accumulate(counts, initial=0))
         for w in sorted({size, total}):
-            for l in range(size):
-                r = (l + w) % size
-                lo = [w * c // total for c in cum]
-                for i, s in enumerate(rows):
-                    assert m.code(s, l, r) == ((l + lo[i]) % size, (l + lo[i + 1]) % size)
-                for g in range(size):
-                    off = (g - l) % size
-                    if off >= w:
-                        with pytest.raises(ValueError, match="outside interval"):
-                            m.decode(g, l, r)
-                        continue
-                    i = next(i for i in range(len(rows)) if lo[i] <= off < lo[i + 1])
-                    assert m.decode(g, l, r) == (
-                        (l + lo[i]) % size, (l + lo[i + 1]) % size, rows[i]
-                    )
+            lo = [w * c // total for c in cum]
+            for i, s in enumerate(rows):
+                assert m.code(s, w) == (lo[i], lo[i + 1])
+            for off in range(w):
+                i = next(i for i in range(len(rows)) if lo[i] <= off < lo[i + 1])
+                assert m.decode(off, w) == (lo[i], lo[i + 1], rows[i])
 
 
 class TestHuffmanModel:
     def test_paper_starting_indexes(self):
         m = HuffmanModel(PAPER_BOOK, GridParams(2, 3))
-        starts = {s: m.code(s, 0, 0)[0] for s in PAPER_BOOK}
+        starts = {s: m.code(s, 8)[0] for s in PAPER_BOOK}
         assert starts == {0: 0, 1: 1, 2: 4, 3: 2, 4: 6}
 
     def test_cell_widths(self):
         params = GridParams(2, 3)
         m = HuffmanModel(PAPER_BOOK, params)
         for s, cw in PAPER_BOOK.items():
-            l, r = m.code(s, 0, 0)
-            assert interval_width(l, r, params) == params.powers[3 - len(cw)]
+            a, b = m.code(s, params.size)
+            assert b - a == params.powers[3 - len(cw)]
 
     def test_single_symbol_empty_code(self):
         m = HuffmanModel({0: ()}, P2N4)
-        assert m.code(0, 0, 0) == (0, 0)
+        assert m.code(0, 16) == (0, 16)
 
     def test_decode_arbitrary_order(self):
         params = GridParams(2, 3)
         m = HuffmanModel(PAPER_BOOK, params)
-        for g in range(8):
-            l, r, s = m.decode(g, 0, 0)
-            assert l <= g and (g < r or r == 0)
-            assert m.code(s, 0, 0) == (l, r)
+        for off in range(8):
+            a, b, s = m.decode(off, 8)
+            assert a <= off < b
+            assert m.code(s, 8) == (a, b)
 
     def test_rejects_incomplete(self):
         with pytest.raises(ValueError):
@@ -400,15 +358,16 @@ class TestHuffmanModel:
                 book = random_pary_book(rng, p, max_len=5)
                 n = max(5, max(len(cw) for cw in book.values()))
                 m = HuffmanModel(book, GridParams(p, n))
-                for g in range(0, m.params.size, max(1, m.params.size // 50)):
-                    l, r, s = m.decode(g, 0, 0)
-                    assert m.code(s, 0, 0) == (l, r)
+                size = m.params.size
+                for off in range(0, size, max(1, size // 50)):
+                    a, b, s = m.decode(off, size)
+                    assert m.code(s, size) == (a, b)
 
 
 def tile_check_huffman(m, params, book):
-    edges = sorted(m.code(s, 0, 0) for s in book)
+    edges = sorted(m.code(s, params.size) for s in book)
     assert edges[0][0] == 0
-    assert edges[-1][1] == 0  # wraps to ring size
+    assert edges[-1][1] == params.size
     for (a1, b1), (a2, b2) in zip(edges, edges[1:]):
         assert b1 == a2
 
@@ -416,18 +375,18 @@ def tile_check_huffman(m, params, book):
 class TestUnaryModel:
     def test_code(self):
         m = UnaryModel(P2N4)
-        assert m.code(0, 0, 0) == (0, 15)
-        assert m.code(1, 0, 15) == (14, 15)
+        assert m.code(0, 16) == (0, 15)
+        assert m.code(1, 15) == (14, 15)
 
     def test_decode(self):
         m = UnaryModel(P2N4)
-        assert m.decode(14, 0, 15) == (0, 15, 1)
-        assert m.decode(3, 0, 15) == (0, 14, 0)
+        assert m.decode(14, 15) == (14, 15, 1)
+        assert m.decode(3, 15) == (0, 14, 0)
 
     def test_rejects_outside_point(self):
-        m = UnaryModel(P2N4)
-        with pytest.raises(ValueError):
-            m.decode(15, 3, 15)
+        # the coder checks the window before the model sees an offset
+        with pytest.raises(ValueError, match="outside interval"):
+            decoder_at(UnaryModel(P2N4), 3, 15, 15).next_symbol()
 
 
 class TestHuffmanConstruction:
@@ -514,13 +473,54 @@ def test_subdivision_never_empty(pbits, data):
     while sum(counts) > cap:
         counts = [max(1, c // 2) for c in counts]
     m = StaticModel(counts, params)
-    l = data.draw(st.integers(0, params.size - 1))
-    wmax = params.size - l if l else params.size
-    if wmax < m.total:
-        l = 0
-        wmax = params.size
-    w = data.draw(st.integers(m.total, wmax))
-    r = (l + w) % params.size
+    w = data.draw(st.integers(m.total, params.size))
     for s in range(nsym):
-        a, b = m.code(s, l, r)
-        assert interval_width(a, b, params) >= 1
+        a, b = m.code(s, w)
+        assert b - a >= 1
+
+
+@given(st.sampled_from(["static", "adaptive", "huffman", "unary"]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_cells_tile_every_coding_width(kind, data):
+    """For every width the coder can pass, from the width floor to the
+    whole ring, the cells of the rows tile [0, w) in row order, none
+    empty, and decode(off, w) returns the cell that holds off.  Huffman
+    books here have no codeword longer than N-2, so every count is at
+    least P**2 of the P**N total and no cell empties above the floor;
+    coding meets a Huffman model at the whole ring alone."""
+    p = data.draw(st.sampled_from([2, 3, 5]), label="P")
+    n = data.draw(st.integers(3, 12 if p == 2 else 6), label="N")
+    params = GridParams(p, n)
+    size, cap = params.size, params.powers[n - 2]
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    if kind == "static":
+        counts = scaled_counts(rng, rng.randint(1, min(20, cap)), cap)
+        model = StaticModel(counts, params)
+        rows = list(model.symbols)
+    elif kind == "adaptive":
+        model = AdaptiveModel(rng.randint(1, min(20, cap - 1)), params)
+        for _ in range(rng.randint(0, 300)):  # uneven counts, maybe halved
+            model.code(min(int(rng.expovariate(0.5)), model.eom), size)
+        rows = list(range(model.num_symbols))
+    elif kind == "huffman":
+        if p == 2:
+            book = random_binary_book(rng, rng.randint(2, min(40, 2 ** (n - 2))), n - 2)
+        else:
+            book = random_pary_book(rng, p, max_len=n - 2)
+        model = HuffmanModel(book, params)
+        rows = sorted(book, key=book.get)
+    else:
+        model = UnaryModel(params)
+        rows = [0, model.eom]
+    w = data.draw(st.integers(width_floor(params), size), label="w")
+    # The adaptive model updates at every call, so each call gets a copy.
+    cells = [copy.deepcopy(model).code(s, w) for s in rows]
+    assert cells[0][0] == 0 and cells[-1][1] == w
+    assert all(a < b for a, b in cells)
+    for (_, b), (a, _) in zip(cells, cells[1:]):
+        assert b == a
+    starts = [a for a, _ in cells]
+    offsets = starts + [b - 1 for _, b in cells] + [data.draw(st.integers(0, w - 1))]
+    for off in offsets:
+        i = bisect_right(starts, off) - 1
+        assert copy.deepcopy(model).decode(off, w) == (*cells[i], rows[i])
