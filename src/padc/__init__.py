@@ -34,7 +34,6 @@ from .models import (
     StaticModel,
     UnaryModel,
     canonical_codebook,
-    code_lengths,
     huffman_code_lengths,
 )
 
@@ -53,7 +52,6 @@ __all__ = [
     "StaticModel",
     "UnaryModel",
     "canonical_codebook",
-    "code_lengths",
     "decode",
     "encode",
     "huffman_code_lengths",

@@ -50,8 +50,10 @@ the width it keeps for the floor check, raises ValueError for a window
 outside the interval and for an empty cell, and moves the edges to
 (l + a) % P**N and (l + b) % P**N.  It branches on no model kind.
 
-A coding session (state, model, stream) is single-owner; sessions over
-distinct states are independent.
+Encoder and Decoder share one session base: the model, its grid, the
+state, ar, the width floor, the finished flag and the grid constants
+both loops unpack, set up once.  A session (state, model, stream) is
+single-owner; sessions over distinct states are independent.
 """
 
 from bisect import bisect_right
@@ -112,7 +114,28 @@ class CoderState:
         return (self.l, self.r, self.pivot, self.pending)
 
 
-class Encoder:
+class _Session:
+    """What both directions of a coding session share; see the module
+    docstring."""
+
+    def __init__(self, model, ar):
+        params = model.params
+        self.floor = width_floor(params)
+        model.validate_for_coding()
+        self.model = model
+        self.params = params
+        self.state = CoderState(params)
+        self.ar = ar
+        self.finished = False
+        P, N, pw = params.P, params.N, params.powers
+        top = pw[N - 1]  # P=2: top is 1 << S with S = N - 1, and tmask = top - 1
+        # rpw[n] = P**(N-1-n), a list: CPython 3.11 never reuses a freed
+        # 20-item tuple (N=20), it keeps it on a free list.
+        rpw = [pw[N - 1 - n] for n in range(N)]
+        self._grid = (P, N, params.size, pw, top, rpw, P == 2, N - 1, top - 1)
+
+
+class Encoder(_Session):
     """Streaming encoder: feed symbols with step() or run(), then finish().
 
     The model's end marker (model.eom) is coded by finish(), not step().
@@ -122,15 +145,7 @@ class Encoder:
     """
 
     def __init__(self, model, *, ar: bool = True):
-        self.model = model
-        self.params = model.params
-        if self.params.N < 2:
-            raise ValueError("coding needs a grid of level N >= 2")
-        model.validate_for_coding()
-        self.state = CoderState(self.params)
-        self.ar = ar
-        self.floor = width_floor(self.params)
-        self.finished = False
+        super().__init__(model, ar)
         self.prefix_digits = 0
         self.flushes = 0
         self.flush_digits = 0
@@ -141,13 +156,7 @@ class Encoder:
         """Code one symbol; returns the digits it emitted, one byte each."""
         writer = DigitWriter(self.params)
         self.run((symbol,), writer)
-        self._check_floor()
         return writer.digits()
-
-    def _check_floor(self):
-        w = interval_width(self.state.l, self.state.r, self.params)
-        if w < self.floor:
-            raise AssertionError(f"width floor violated: {w} < {self.floor}")
 
     def run(self, symbols, writer: DigitWriter):
         """Code every symbol of an iterable, pushing the emitted digits to
@@ -155,11 +164,8 @@ class Encoder:
         if self.finished:
             raise ValueError("encoder already finished")
         code, eom = self.model.code, self.model.eom
-        P, N, size, pw = self.params.P, self.params.N, self.params.size, self.params.powers
-        top = pw[N - 1]
-        rpw = pw[N - 1 :: -1]
-        S, tmask = N - 1, top - 1  # P=2: top is 1 << S
-        floor, ar, binary = self.floor, self.ar, P == 2
+        P, N, size, pw, top, rpw, binary, S, tmask = self._grid
+        floor, ar = self.floor, self.ar
         st = self.state
         l, r, pivot, pending = st.l, st.r, st.pivot, st.pending
         w = (r - l) % size or size
@@ -314,7 +320,7 @@ class Encoder:
         return bytes(out)
 
 
-class Decoder:
+class Decoder(_Session):
     """Streaming decoder over a DigitReader.
 
     Mirrors the encoder's state transitions exactly, so at every symbol
@@ -326,16 +332,8 @@ class Decoder:
     """
 
     def __init__(self, reader: DigitReader, model, *, ar: bool = True):
-        self.model = model
-        self.params = model.params
-        if self.params.N < 2:
-            raise ValueError("coding needs a grid of level N >= 2")
-        model.validate_for_coding()
-        self.state = CoderState(self.params)
-        self.ar = ar
-        self.floor = width_floor(self.params)
+        super().__init__(model, ar)
         self.reader = reader
-        self.done = False
         if reader.consumed > reader.declared_count:
             raise _exhausted()
         self.g = reader.value(reader.consumed, self.params.N)
@@ -364,14 +362,11 @@ class Decoder:
         budget check and the point where a check trips are the same as
         with one read per symbol."""
         out = [] if out is None else out
-        if self.done:
+        if self.finished:
             raise ValueError("decoder already finished")
         decode, eom = self.model.decode, self.model.eom
-        P, N, size, pw = self.params.P, self.params.N, self.params.size, self.params.powers
-        top = pw[N - 1]
-        rpw = pw[N - 1 :: -1]
-        S, tmask = N - 1, top - 1  # P=2: top is 1 << S
-        floor, ar, binary = self.floor, self.ar, P == 2
+        P, N, size, pw, top, rpw, binary, S, tmask = self._grid
+        floor, ar = self.floor, self.ar
         reader = self.reader
         value, apw = reader.value, self._apw
         chunk, big = len(apw) - 1, apw[-1]
@@ -395,7 +390,7 @@ class Decoder:
                 a, b, s = decode(off, w)
                 l, r = (l + a) % size, (l + b) % size
                 if s == eom:
-                    self.done = True
+                    self.finished = True
                     break
                 if pending:
                     # Off the pivot the interval lies in one top-level cell,

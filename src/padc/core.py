@@ -81,8 +81,8 @@ def shortest_path_point(l: int, r: int, params: GridParams) -> int:
     trailing zero index digits: it is the least multiple of the largest
     P**k that [l, r) holds.  None of its multiples there is a multiple
     of P**(k+1), so they differ in index digit k alone and the least has
-    the smallest path.  A brute-force scan (oracles.brute_select_point)
-    validates this.
+    the smallest path.  A brute-force scan (brute_select_point in the
+    tests' oracles module) validates this.
     """
     _check_interval(l, r, params)
     hi = (r if r > l else params.size) - 1  # last point of the interval

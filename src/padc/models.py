@@ -290,11 +290,3 @@ def canonical_codebook(lengths):
         book[s] = tuple([(code >> (length - 1 - j)) & 1 for j in range(length)])
         code += 1
     return book
-
-
-def code_lengths(codebook, num_symbols):
-    """Per-symbol code lengths of a codebook, 0 for absent symbols."""
-    lengths = [0] * num_symbols
-    for s, cw in codebook.items():
-        lengths[s] = len(cw)
-    return lengths

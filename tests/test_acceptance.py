@@ -39,12 +39,12 @@ from padc.reference import (
     to_path,
 )
 from padc.cli import main as cli_main
-from padc.oracles import (
+from oracles import (
     brute_common_prefix,
     entropy,
     rice_encode,
 )
-from padc.oracles import _path_value  # independent enumeration helper
+from oracles import _path_value  # independent enumeration helper
 from helpers import make_text, random_binary_book, random_trial
 
 
@@ -175,23 +175,17 @@ def test_criterion_5_roundtrip_fuzz():
     floor_margin = None
     lengths_seen = set()
 
-    class ProbeEncoder(Encoder):
-        def _check_floor(self):
-            nonlocal floor_margin
-            super()._check_floor()
-            w = interval_width(self.state.l, self.state.r, self.params)
-            q = self.params.powers[self.params.N - 2]
-            m = w - q
-            if floor_margin is None or m < floor_margin:
-                floor_margin = m
-
     for t in range(trials):
         params, make_model, msg, ar, flush = random_trial(rng)
         lengths_seen.add(len(msg))
-        enc = ProbeEncoder(make_model(), ar=ar)
+        enc = Encoder(make_model(), ar=ar)
+        q = params.powers[params.N - 2]
         digits = []
         for s in msg:
             digits.extend(enc.step(s))
+            m = interval_width(enc.state.l, enc.state.r, params) - q
+            if floor_margin is None or m < floor_margin:
+                floor_margin = m
         digits.extend(enc.finish(flush=flush))
         got = decode(digits, make_model(), ar=ar)
         assert got == msg, f"trial {t} failed roundtrip"

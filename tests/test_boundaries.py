@@ -1,15 +1,15 @@
 """Import boundaries between the shipped modules, read from their source.
 
-The oracles must stay independent of the coder they check, core is the
-bottom of the import graph, and the reference transitions stay out of
-the shipped import graph except for the two names the encoder still
-calls.  The container's byte layout stays in digitio, the one module
-that imports struct, where digit strings take one path for every P.  The
-CLI builds its models in one place.  No
-model names its kind, and the coder asks a model for nothing past the
-contract in codec's docstring.  A model's code and decode see offsets
-within a width, so the ring wrap lives in codec alone.  No module builds
-a tuple from a generator.
+The test oracles must stay independent of the coder they check, core is
+the bottom of the import graph, and the reference transitions stay out
+of the shipped import graph except for the two names the encoder still
+calls.  Both coding directions set up their session in one place.  The
+container's byte layout stays in digitio, the one module that imports
+struct, where digit strings take one path for every P.  The CLI builds
+its models in one place.  No model names its kind, and the coder asks a
+model for nothing past the contract in codec's docstring.  A model's
+code and decode see offsets within a width, so the ring wrap lives in
+codec alone.  No module builds a tuple from a generator.
 """
 
 import ast
@@ -18,13 +18,14 @@ from pathlib import Path
 import padc
 
 SRC = Path(padc.__file__).parent
+TESTS = Path(__file__).parent
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
 
 
-def padc_imports(module):
+def padc_imports(module, root=SRC):
     """{padc module: imported names, or None for the whole module} for every
-    import of a padc module anywhere in module's source."""
-    tree = ast.parse((SRC / f"{module}.py").read_text())
+    import of a padc module anywhere in module's source under root."""
+    tree = ast.parse((root / f"{module}.py").read_text())
     found = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -47,11 +48,11 @@ def padc_imports(module):
 
 
 def test_modules_found():
-    assert {"codec", "core", "oracles", "reference"} <= set(MODULES)
+    assert {"codec", "core", "reference"} <= set(MODULES)
 
 
 def test_oracles_import_nothing_from_padc():
-    assert padc_imports("oracles") == {}
+    assert padc_imports("oracles", TESTS) == {}
 
 
 def test_core_imports_no_other_padc_module():
@@ -87,27 +88,37 @@ def test_only_digitio_imports_struct():
     assert [m for m in MODULES if "struct" in imported_modules(m)] == ["digitio"]
 
 
-def test_digitio_branches_on_binary_only_in_the_chunk_and_container_calls():
-    # Digit strings go through the block tables at every P.  Only the coder's
-    # per-chunk calls keep a P=2 byte path, and the container functions the
-    # format's rule that huffman is P=2 only.
-    tree = ast.parse((SRC / "digitio.py").read_text())
+def functions_comparing_with_two(module, names):
+    """Names of the functions in module's source that compare a name or
+    attribute in names with the constant 2."""
 
-    def is_p(node):
-        return getattr(node, "id", getattr(node, "attr", None)) in ("P", "p")
+    def is_name(node):
+        return getattr(node, "id", getattr(node, "attr", None)) in names
 
     def is_two(node):
         return isinstance(node, ast.Constant) and node.value == 2
 
     found = set()
-    for f in ast.walk(tree):
+    for f in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
         if isinstance(f, ast.FunctionDef):
             for node in ast.walk(f):
                 if isinstance(node, ast.Compare):
                     sides = [node.left, *node.comparators]
-                    if any(map(is_p, sides)) and any(map(is_two, sides)):
+                    if any(map(is_name, sides)) and any(map(is_two, sides)):
                         found.add(f.name)
-    assert found == {"push_number", "value", "write_container", "read_container"}
+    return found
+
+
+def test_digitio_branches_on_binary_only_in_the_chunk_and_container_calls():
+    # Digit strings go through the block tables at every P.  Only the coder's
+    # per-chunk calls keep a P=2 byte path, and the container functions the
+    # format's rule that huffman is P=2 only.
+    assert functions_comparing_with_two("digitio", ("P", "p")) == {
+        "push_number",
+        "value",
+        "write_container",
+        "read_container",
+    }
 
 
 def calls(tree, names):
@@ -118,6 +129,16 @@ def calls(tree, names):
         if isinstance(node, ast.Call)
         and getattr(node.func, "id", getattr(node.func, "attr", None)) in names
     ]
+
+
+def test_codec_sets_up_a_session_in_one_place():
+    # Encoder and Decoder build on one session base: the model is checked
+    # and the width floor taken once, and width_floor alone rejects a grid
+    # below level 2.
+    tree = ast.parse((SRC / "codec.py").read_text())
+    assert len(calls(tree, {"validate_for_coding"})) == 1
+    assert len(calls(tree, {"width_floor"})) == 1
+    assert functions_comparing_with_two("codec", ("N",)) == {"width_floor"}
 
 
 def test_cli_builds_models_only_from_the_header():

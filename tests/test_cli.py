@@ -306,7 +306,7 @@ class TestBench:
         assert "single repeated byte" in err
 
     def test_iid_file_near_entropy(self, tmp_path, capsys):
-        from padc.oracles import entropy
+        from oracles import entropy
 
         d = tmp_path / "corpus"
         d.mkdir()

@@ -31,7 +31,7 @@ from padc.reference import (
     to_path,
     trimmed_len,
 )
-from padc.oracles import rice_encode
+from oracles import rice_encode
 from helpers import decoder_at, random_binary_book, random_trial
 
 P2N3 = GridParams(2, 3)
@@ -152,6 +152,16 @@ class TestWidthFloor:
         for _ in range(500):
             enc.step(rng.randrange(3))
             assert interval_width(enc.state.l, enc.state.r, params) >= enc.floor
+
+    def test_both_directions_reject_level_1_alike(self):
+        params = GridParams(2, 1)
+        with pytest.raises(ValueError) as floor:
+            width_floor(params)
+        with pytest.raises(ValueError) as enc:
+            Encoder(UnaryModel(params))
+        with pytest.raises(ValueError) as dec:
+            Decoder(DigitReader(params, b"", 0), UnaryModel(params))
+        assert str(enc.value) == str(dec.value) == str(floor.value)
 
 
 class TestGolombRice:
@@ -488,6 +498,16 @@ class TestMalformedStreams:
             enc.step(0)
         with pytest.raises(ValueError):
             enc.finish()
+
+    def test_decoder_finish_guard(self):
+        model = StaticModel([1, 1], GridParams(2, 8))
+        dec = Decoder(DigitReader.from_digits(model.params, encode([0] * 3, model)), model)
+        assert dec.run() == [0] * 3
+        assert dec.finished
+        with pytest.raises(ValueError, match="decoder already finished"):
+            dec.run()
+        with pytest.raises(ValueError, match="decoder already finished"):
+            dec.next_symbol()
 
     def test_step_rejects_end_marker(self):
         enc = Encoder(StaticModel([1, 1], GridParams(2, 8)))

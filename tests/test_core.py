@@ -22,7 +22,7 @@ from padc.reference import (
     to_path,
     trimmed_len,
 )
-from padc.oracles import brute_common_prefix, brute_select_point
+from oracles import brute_common_prefix, brute_select_point
 
 P2N3 = GridParams(2, 3)
 P2N2 = GridParams(2, 2)

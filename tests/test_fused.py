@@ -371,9 +371,9 @@ def test_read_ahead_lockstep(p, n, kind, chunk, monkeypatch):
 
         dec = Decoder(reader(), make_model(), ar=ar)
         out = []
-        while not dec.done and len(out) < len(msg):
+        while not dec.finished and len(out) < len(msg):
             dec.run(out, limit=min(rng.randint(1, 40), len(msg) - len(out)))
-            want = final if dec.done else boundaries[len(out)]
+            want = final if dec.finished else boundaries[len(out)]
             assert (dec.reader.consumed, dec.g, dec.state.as_tuple()) == want
         assert out == msg
 

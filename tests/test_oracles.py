@@ -3,7 +3,7 @@ import math
 import pytest
 
 from padc import GridParams
-from padc.oracles import (
+from oracles import (
     brute_common_prefix,
     brute_select_point,
     entropy,
