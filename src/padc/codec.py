@@ -24,11 +24,14 @@ Encoder.run and Decoder.run (step() and next_symbol() are one-symbol
 runs) keep the state in local variables over a whole message, do prefix
 renorm and folds as inline integer arithmetic, and apply a run of k
 folds as one index operation; padc.reference holds the per-event
-transitions they are tested against.  The encoder resolves straddle
-exits and the valve's prefix through two of those, renorm_prefix and
-straddle_flush, so tools that wrap those names in this module still see
-those rarer events.  For every P the encoder collects the
-digits it emits as one base-P number and hands it to
+transitions they are tested against.  Both take the length of the
+edges' shared prefix on every pass, and with folds pending a nonzero
+length is the straddle exit: edges that straddle the pivot share no
+first digit, and edges that have left it share one.  The encoder
+resolves each exit and each valve's prefix through straddle_flush and
+renorm_prefix, one call per event, so tools that wrap those names in
+this module still see those rarer events.  For every P the encoder
+collects the digits it emits as one base-P number and hands it to
 DigitWriter.push_number; the decoder reads stream digits ahead of its
 window, _READ_DIGITS at a time with DigitReader.value, and takes the
 digits its window is owed off the front of that number.
@@ -179,37 +182,33 @@ class Encoder(_Session):
                 if a >= b:
                     raise _empty_cell(a, b, w)
                 l, r = (l + a) % size, (l + b) % size
-                if pending:
-                    # Straddle exits and the valve's prefix go through the
-                    # reference functions (see the module docstring).
-                    st.l, st.r, st.pivot, st.pending = l, r, pivot, pending
-                    flushed = straddle_flush(st)
-                    if flushed is not None:
+                while True:
+                    r1 = (r - 1) % size
+                    if binary:
+                        n = N - (l ^ r1).bit_length()
+                    else:
+                        n = 0
+                        while n < N and l // rpw[n] == r1 // rpw[n]:
+                            n += 1
+                    if n and pending:
+                        # A straddle exit (see the module docstring).
+                        st.l, st.r, st.pivot, st.pending = l, r, pivot, pending
+                        flushed = straddle_flush(st)
                         n_flush += 1
                         n_flush_digits += pending + 1
                         # pivot then pending zeros, or pivot-1 then pending
                         # copies of P-1 when the interval exits right of it
-                        acc = acc * P ** (pending + 1) + pivot * P**pending - (
-                            flushed[0] < pivot
-                        )
+                        acc = (acc * P + pivot) * P**pending - (flushed[0] < pivot)
                         nacc += pending + 1
                         l, r, pivot, pending = st.l, st.r, 0, 0
-                while True:
-                    if not pending:
-                        r1 = (r - 1) % size
-                        if binary:
-                            n = N - (l ^ r1).bit_length()
-                        else:
-                            n = 0
-                            while n < N and l // rpw[n] == r1 // rpw[n]:
-                                n += 1
-                        if n:
-                            q, u = pw[N - n], pw[n]
-                            acc = acc * u + l // q
-                            nacc += n
-                            n_prefix += n
-                            l = (l % q) * u
-                            r = (r % q) * u
+                        n -= 1
+                    if n:
+                        q, u = pw[N - n], pw[n]
+                        acc = acc * u + l // q
+                        nacc += n
+                        n_prefix += n
+                        l = (l % q) * u
+                        r = (r % q) * u
                     if ar and binary:
                         # The fold below on bits: the pivot is 1, and k is
                         # S less the bit length of the wider arm.
@@ -358,9 +357,15 @@ class Decoder(_Session):
         zero digits, which no later shift or fold of the symbol reaches
         past, so none reaches past them on the window either.  The digits
         come from a read-ahead number refilled a chunk at a time; digits
-        in it are only cached, not consumed, so reader.consumed, every
-        budget check and the point where a check trips are the same as
-        with one read per symbol."""
+        in it are only cached, not consumed, so reader.consumed and the
+        point where the budget check trips are the same as with one read
+        per symbol.
+
+        The budget is checked at the prefix shift alone: with c digits
+        read and m owed, c + m - pending <= declared_count + N holds
+        throughout.  A fold adds k to m and to pending, a refill moves m
+        into c, and a straddle exit (pending -> 0) is itself a prefix
+        shift, of at least one digit."""
         out = [] if out is None else out
         if self.finished:
             raise ValueError("decoder already finished")
@@ -392,34 +397,29 @@ class Decoder(_Session):
                 if s == eom:
                     self.finished = True
                     break
-                if pending:
-                    # Off the pivot the interval lies in one top-level cell,
-                    # so the prefix renorm below sheds its digit as well.
-                    if l // top >= pivot or r // top < pivot or r == pivot * top:
-                        pivot = pending = 0
                 while True:
-                    if not pending:
-                        r1 = (r - 1) % size
-                        if binary:
-                            n = N - (l ^ r1).bit_length()
-                        else:
-                            n = 0
-                            while n < N and l // rpw[n] == r1 // rpw[n]:
-                                n += 1
-                        if n:
-                            if c + m + n > budget:
-                                raise _exhausted()
-                            q, u = pw[N - n], pw[n]
-                            l = (l % q) * u
-                            r = (r % q) * u
-                            g = (g % q) * u
-                            m += n
+                    r1 = (r - 1) % size
+                    if binary:
+                        n = N - (l ^ r1).bit_length()
+                    else:
+                        n = 0
+                        while n < N and l // rpw[n] == r1 // rpw[n]:
+                            n += 1
+                    if n:
+                        # With folds pending this is a straddle exit, and the
+                        # shift sheds the flush's first digit as well.
+                        pivot = pending = 0
+                        if c + n > budget:
+                            raise _exhausted()
+                        q, u = pw[N - n], pw[n]
+                        l = (l % q) * u
+                        r = (r % q) * u
+                        g = (g % q) * u
+                        m = n
                     if ar and binary:
                         if l < top <= r:
                             k = S - ((r | ~l) & tmask).bit_length()
                             if k:
-                                if c + m > budget + pending:
-                                    raise _exhausted()
                                 pivot = 1
                                 pending += k
                                 l = l << k & tmask
@@ -431,8 +431,6 @@ class Decoder(_Session):
                         if tr - tl == 1:
                             k = N - 1 - bisect_right(pw, max(top - 1 - l % top, r % top))
                             if k:
-                                if c + m > budget + pending:
-                                    raise _exhausted()
                                 if not pivot:
                                     pivot = tr
                                 pending += k
@@ -470,8 +468,8 @@ class Decoder(_Session):
         finally:
             st.l, st.r, st.pivot, st.pending = l, r, pivot, pending
             self.g = g
-            self._ahead = (buf, nb) if not m else (0, 0)
-            reader.consumed = c + m
+            self._ahead = (buf, nb)
+            reader.consumed = c
         return out
 
 

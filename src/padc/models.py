@@ -242,9 +242,11 @@ def huffman_code_lengths(freqs, max_len=None):
     """Binary Huffman code lengths for positive frequencies.
 
     Merges the two lightest nodes in the two-queue order, through one heap
-    keyed (weight, 0, symbol) for leaves and (weight, 1, merge index) for
-    merged nodes.  If max_len is given and the optimal tree is deeper,
-    frequencies are flattened (halved, floored at 1) until the tree fits.
+    keyed (weight, 0, symbol) for leaves and (weight, 1, node) for merged
+    nodes, numbered n, n+1, ... as they are made.  A symbol's length is
+    its depth, counted down the merged nodes' parent links.  If max_len
+    is given and the optimal tree is deeper, frequencies are flattened
+    (halved, floored at 1) until the tree fits.
     """
     freqs = list(freqs)
     if any(f < 1 for f in freqs):
@@ -257,15 +259,18 @@ def huffman_code_lengths(freqs, max_len=None):
     if max_len is not None and (n - 1).bit_length() > max_len:
         raise ValueError(f"{n} symbols cannot fit codes of length <= {max_len}")
     while True:
-        heap = [(f, 0, s, (s,)) for s, f in enumerate(freqs)]
+        heap = [(f, 0, s) for s, f in enumerate(freqs)]
         heapify(heap)
-        lengths = [0] * n
-        for k in range(n - 1):
-            fa, _, _, sa = heappop(heap)
-            fb, _, _, sb = heappop(heap)
-            for s in sa + sb:
-                lengths[s] += 1
-            heappush(heap, (fa + fb, 1, k, sa + sb))
+        parent = [0] * (2 * n - 1)
+        for node in range(n, 2 * n - 1):
+            fa, _, a = heappop(heap)
+            fb, _, b = heappop(heap)
+            parent[a] = parent[b] = node
+            heappush(heap, (fa + fb, 1, node))
+        depth = [0] * (2 * n - 1)  # the root, node 2n-2, is at depth 0
+        for node in range(2 * n - 3, -1, -1):
+            depth[node] = depth[parent[node]] + 1
+        lengths = depth[:n]
         if max_len is None or max(lengths) <= max_len:
             return lengths
         freqs = [max(1, f // 2) for f in freqs]

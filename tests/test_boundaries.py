@@ -3,7 +3,8 @@
 The test oracles must stay independent of the coder they check, core is
 the bottom of the import graph, and the reference transitions stay out
 of the shipped import graph except for the two names the encoder still
-calls.  Both coding directions set up their session in one place.  The
+calls.  Both coding directions set up their session in one place, and
+the decoder checks its read budget in one place.  The
 container's byte layout stays in digitio, the one module that imports
 struct, where digit strings take one path for every P.  The CLI builds
 its models in one place.  No model names its kind, and the coder asks a
@@ -139,6 +140,20 @@ def test_codec_sets_up_a_session_in_one_place():
     assert len(calls(tree, {"validate_for_coding"})) == 1
     assert len(calls(tree, {"width_floor"})) == 1
     assert functions_comparing_with_two("codec", ("N",)) == {"width_floor"}
+
+
+def test_decoder_checks_its_read_budget_in_one_place():
+    # Folds and refills leave c + m - pending unchanged, so only a prefix
+    # shift can take the reads past the budget (see Decoder.run): one
+    # check there, and none that lets pending folds widen the budget.
+    tree = ast.parse((SRC / "codec.py").read_text())
+    (decoder,) = [n for n in tree.body if getattr(n, "name", None) == "Decoder"]
+    (run,) = [f for f in decoder.body if getattr(f, "name", None) == "run"]
+    assert len(calls(run, {"_exhausted"})) == 1
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            sides = {getattr(node.left, "id", None), getattr(node.right, "id", None)}
+            assert sides != {"budget", "pending"}, f"codec.py:{node.lineno}"
 
 
 def test_cli_builds_models_only_from_the_header():

@@ -15,6 +15,8 @@ import random
 from bisect import bisect_right
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import padc.codec as codec
 from padc import (
@@ -35,6 +37,7 @@ from padc import (
     width_floor,
 )
 from padc.reference import (
+    common_path_len,
     renorm_prefix,
     squeeze_second_digit,
     straddle_check,
@@ -50,7 +53,8 @@ class ReferenceEncoder:
     """One-event-at-a-time encoder built from the reference transitions,
     counting the same events as Encoder plus the longest fold run and the
     model outputs whose right edge sits on a level-1 point.  starts holds
-    the interval's left edge at each model call."""
+    the interval's left edge at each model call, and straddles the state
+    at each straddle_flush call."""
 
     def __init__(self, model, ar):
         self.model = model
@@ -62,6 +66,7 @@ class ReferenceEncoder:
         self.longest_fold_run = 0
         self.pivot_right_edges = 0
         self.starts = []
+        self.straddles = []
 
     def _prefix_and_folds(self, out):
         st = self.state
@@ -87,6 +92,7 @@ class ReferenceEncoder:
             self.pivot_right_edges += 1
         out = []
         if st.pending:
+            self.straddles.append(st.as_tuple())
             flushed = straddle_flush(st)
             if flushed is not None:
                 out += flushed
@@ -270,6 +276,64 @@ def test_all_zero_stream_trips_budget_at_fixed_point():
             dec.next_symbol()
             decoded += 1
     assert (decoded, reader.consumed) == (21_408, 2031)
+
+
+@pytest.mark.parametrize("p,n", [(2, 8), (2, 31), (3, 5), (3, 12), (5, 4), (5, 9), (7, 4), (7, 8)])
+def test_straddle_exit_is_a_shared_first_digit(p, n):
+    # The fused loops find a straddle exit by the prefix test alone: with
+    # folds pending, straddle_flush resolves the folds exactly when the
+    # edges share a first digit.  Checked at every state the reference
+    # encoder reaches with folds pending: where it calls straddle_flush,
+    # and at each symbol boundary.
+    params = GridParams(p, n)
+    rng = random.Random(f"exit-{p}-{n}")
+    outcomes = set()
+    for kind in ("static", "adaptive", "unary", "edge"):
+        make_model, msg = trial(rng, kind, params, 400, True)
+        ref = ReferenceEncoder(make_model(), True)
+        boundaries = []
+        for s in msg:
+            ref.step(s)
+            boundaries.append(ref.state.as_tuple())
+        for l, r, pivot, pending in ref.straddles + boundaries:
+            if not pending:
+                continue
+            state = CoderState(params)
+            state.l, state.r, state.pivot, state.pending = l, r, pivot, pending
+            shared = common_path_len(l, r, params) >= 1
+            assert (straddle_flush(state) is not None) == shared, (l, r, pivot, pending)
+            outcomes.add(shared)
+    assert outcomes == {False, True}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    grid=hst.sampled_from([(2, 6), (2, 16), (2, 31), (3, 5), (3, 12), (5, 4), (7, 4)]),
+    kind=hst.sampled_from(["static", "adaptive", "unary"]),
+    seed=hst.integers(0, 2**32),
+    raw=hst.lists(hst.integers(0, 255), max_size=120),
+    run=hst.integers(0, 40),
+)
+def test_reads_stay_within_the_budget_and_pending_folds(grid, kind, seed, raw, run):
+    # The decoder checks its read budget only at prefix shifts.  That is
+    # enough because c - pending <= declared_count + N holds at every
+    # symbol boundary of any stream: each fold reads one digit and adds
+    # one to pending.  Long runs of one digit drive the folds.
+    params = GridParams(*grid)
+    p = params.P
+    digits = bytes(d % p for d in raw) + bytes([p - 1]) * run
+    make_model, _ = trial(random.Random(seed), kind, params, 0, True)
+    reader = DigitReader.from_digits(params, digits)
+    dec = Decoder(reader, make_model())
+    budget = reader.declared_count + params.N
+    for _ in range(3000):
+        try:
+            dec.run(limit=1)
+        except MalformedStreamError:
+            break
+        assert reader.consumed - dec.state.pending <= budget
+        if dec.finished:
+            break
 
 
 class ReferenceDecoder:

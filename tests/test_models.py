@@ -1,12 +1,17 @@
 import copy
+import os
 import random
+import subprocess
+import sys
 from bisect import bisect_right
 from itertools import accumulate
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import padc
 from padc import (
     AdaptiveModel,
     GridParams,
@@ -439,6 +444,37 @@ class TestHuffmanConstruction:
     def test_too_many_symbols_for_depth(self):
         with pytest.raises(ValueError):
             huffman_code_lengths([1] * 40, max_len=5)
+
+    def test_calls_leave_no_blocks_behind(self):
+        # CPython 3.11 keeps every freed 20-item tuple on a free list that
+        # allocation never draws from, so a call that builds one grows the
+        # allocated blocks until that list is full.  A fresh interpreter
+        # starts with the list empty; gc stays off, because a full
+        # collection empties the free lists.  The histogram is the seed-0
+        # 32 KiB one of the benchmark's skewed-huffman corpus (byte i
+        # weighted 0.8**i), as the CLI builds it.
+        code = """if True:
+            import gc, random, sys
+            from padc import huffman_code_lengths
+            gc.disable()
+            weights = [0.8**i for i in range(256)]
+            data = random.Random(0).choices(range(256), weights, k=32768)
+            freqs = [data.count(s) for s in sorted(set(data))]
+            for _ in range(20):
+                huffman_code_lengths(freqs, max_len=31)
+            blocks = sys.getallocatedblocks()
+            for _ in range(400):
+                huffman_code_lengths(freqs, max_len=31)
+            print((sys.getallocatedblocks() - blocks) / 400)
+        """
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(padc.__file__).parents[1]), env.get("PYTHONPATH", "")]
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
+        )
+        assert float(out.stdout) < 0.1
 
     def test_canonical_roundtrip(self):
         rng = random.Random(2)
