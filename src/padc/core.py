@@ -2,16 +2,15 @@
 
 An index k in [0, P**N) names one of the P**N grid points that subdivide
 the unit interval, and an interval [l, r) of indexes (r = 0 standing for
-P**N) is the coder's state.  This module holds the grid parameters and
-the interval arithmetic the coder runs: width and the point with the
-shortest path.  A point's path is its base-P digits read most
-significant first; padc.reference spells out that notation.
+P**N) is the coder's state.  This module holds the grid parameters,
+the interval arithmetic the coder runs (width and the point with the
+shortest path) and the record bases of padc's value classes.  A point's
+path is its base-P digits read most significant first; padc.reference
+spells out that notation.
 
 All functions here are pure and all values immutable, so they are safe
 to share between threads.
 """
-
-from dataclasses import dataclass, field
 
 
 def is_prime(n: int) -> bool:
@@ -33,27 +32,59 @@ def is_prime(n: int) -> bool:
 MAX_RING = 1 << 62
 
 
-@dataclass(frozen=True)
-class GridParams:
-    """Grid parameters: prime base P and level N (ring size P**N)."""
+class _Record:
+    """Base of padc's small value classes: __eq__ and __repr__ over the
+    attributes named in _fields, with a dataclass's rules (a record
+    equals only a record of its own class, and a mutable one is
+    unhashable).  Written out because importing dataclasses pulls
+    inspect, ast and dis into every padc start-up."""
 
-    P: int
-    N: int
-    size: int = field(init=False, repr=False, compare=False)
-    powers: tuple = field(init=False, repr=False, compare=False)
+    _fields = ()
+    __hash__ = None
 
-    def __post_init__(self):
-        if not is_prime(self.P):
-            raise ValueError(f"P must be a prime >= 2, got {self.P}")
-        if self.N < 1:
-            raise ValueError(f"N must be >= 1, got {self.N}")
-        size = self.P ** self.N
+    def _values(self):
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self):
+        args = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{type(self).__qualname__}({args})"
+
+
+class _FrozenRecord(_Record):
+    """An immutable, hashable _Record.  __init__ stores its attributes
+    through vars(self); copy and pickle restore them the same way."""
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GridParams(_FrozenRecord):
+    """Grid parameters: prime base P and level N (ring size P**N), with
+    the derived size = P**N and powers = (P**0, ..., P**N)."""
+
+    _fields = ("P", "N")
+
+    def __init__(self, P: int, N: int):
+        if not is_prime(P):
+            raise ValueError(f"P must be a prime >= 2, got {P}")
+        if N < 1:
+            raise ValueError(f"N must be >= 1, got {N}")
+        size = P**N
         if size > MAX_RING:
-            raise ValueError(f"P**N too large (P={self.P}, N={self.N})")
-        object.__setattr__(self, "size", size)
-        object.__setattr__(
-            self, "powers", tuple([self.P ** i for i in range(self.N + 1)])
-        )
+            raise ValueError(f"P**N too large (P={P}, N={N})")
+        powers = tuple([P**i for i in range(N + 1)])
+        vars(self).update(P=P, N=N, size=size, powers=powers)
 
 
 def _check_index(k: int, params: GridParams) -> None:

@@ -57,11 +57,10 @@ independent.
 
 import math
 import struct
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
 
-from .core import GridParams
+from .core import GridParams, _Record
 
 MAGIC = b"PADC"
 VERSION = 3
@@ -294,15 +293,37 @@ def payload_length(params: GridParams, digit_count: int) -> int:
     return full * K + _tail(params.P, r)[0]
 
 
-@dataclass
-class ContainerHeader:
-    params: GridParams
-    ar: bool
-    flush: str  # "min" or "left"
-    model_kind: str
-    alphabet_size: int
-    model_data: list  # the model payload's values, without their bias
-    digit_count: int
+class ContainerHeader(_Record):
+    """A container's header fields: mutable, so an encoder can fill in
+    digit_count once the payload is done."""
+
+    _fields = (
+        "params",
+        "ar",
+        "flush",
+        "model_kind",
+        "alphabet_size",
+        "model_data",
+        "digit_count",
+    )
+
+    def __init__(
+        self,
+        params: GridParams,
+        ar: bool,
+        flush: str,  # "min" or "left"
+        model_kind: str,
+        alphabet_size: int,
+        model_data: list,  # the model payload's values, without their bias
+        digit_count: int,
+    ):
+        self.params = params
+        self.ar = ar
+        self.flush = flush
+        self.model_kind = model_kind
+        self.alphabet_size = alphabet_size
+        self.model_data = model_data
+        self.digit_count = digit_count
 
 
 def _run_values(header: ContainerHeader):

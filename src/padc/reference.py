@@ -24,23 +24,20 @@ All functions here except the transitions are pure and all values
 immutable, so they are safe to share between threads.
 """
 
-from dataclasses import dataclass
-
-from .core import GridParams, _check_index, _check_interval
+from .core import GridParams, _check_index, _check_interval, _FrozenRecord
 
 
-@dataclass(frozen=True)
-class DigitVec:
+class DigitVec(_FrozenRecord):
     """Base-P digit sequence in path order (coefficient of P**0 first)."""
 
-    digits: tuple
-    p: int
+    _fields = ("digits", "p")
 
-    def __post_init__(self):
-        object.__setattr__(self, "digits", tuple(self.digits))
-        for d in self.digits:
-            if not 0 <= d < self.p:
-                raise ValueError(f"digit {d} out of range for base {self.p}")
+    def __init__(self, digits, p: int):
+        digits = tuple(digits)
+        for d in digits:
+            if not 0 <= d < p:
+                raise ValueError(f"digit {d} out of range for base {p}")
+        vars(self).update(digits=digits, p=p)
 
     def __len__(self):
         return len(self.digits)

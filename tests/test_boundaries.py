@@ -10,10 +10,14 @@ struct, where digit strings take one path for every P.  The CLI builds
 its models in one place.  No model names its kind, and the coder asks a
 model for nothing past the contract in codec's docstring.  A model's
 code and decode see offsets within a width, so the ring wrap lives in
-codec alone.  No module builds a tuple from a generator.
+codec alone.  No module builds a tuple from a generator.  Importing
+the CLI loads neither dataclasses nor inspect: that chain (ast, dis,
+tokenize) would add about 1 MiB to every start-up.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import padc
@@ -50,6 +54,20 @@ def padc_imports(module, root=SRC):
 
 def test_modules_found():
     assert {"codec", "core", "reference"} <= set(MODULES)
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); "
+        "before = set(sys.modules); import padc.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    added = set(run.stdout.split())
+    assert "padc.cli" in added
+    assert not {"dataclasses", "inspect"} & added
 
 
 def test_oracles_import_nothing_from_padc():

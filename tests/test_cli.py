@@ -158,6 +158,9 @@ class TestErrors:
         assert code == 1
         code, _, err = run_cli(capsys, "encode", "-N", 40, src, tmp_path / "o")
         assert code == 1
+        code, _, err = run_cli(capsys, "encode", "-P", 3, "-N", 1, src, tmp_path / "o")
+        assert code == 1
+        assert "N must be at least 2" in err
 
     @pytest.mark.parametrize("N", [3, 4])
     def test_base_must_fit_container_byte(self, tmp_path, capsys, N):
@@ -183,6 +186,48 @@ class TestErrors:
         assert code == 1
         assert "--model static only" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "entries, match",
+        [
+            (["1"] * 256, "needs 257 counts, got 256"),
+            (["1"] * 256 + ["x"], "non-integer"),
+            (["1"] * 256 + ["0"], "must be >= 1"),
+        ],
+        ids=["count", "non-integer", "zero"],
+    )
+    def test_bad_freq_file(self, tmp_path, capsys, entries, match):
+        src, freq, out = tmp_path / "s", tmp_path / "f", tmp_path / "o"
+        src.write_bytes(b"abc")
+        freq.write_text(" ".join(entries))
+        flags = ("--model", "static", "--freq-file", freq)
+        code, _, err = run_cli(capsys, "encode", *flags, src, out)
+        assert code == 1
+        assert match in err
+        assert not out.exists()
+
+    def test_static_table_halved_to_fit_the_grid(self, tmp_path, capsys):
+        # 2 KiB of text plus 257 ones is past P**(N-2) = 512 at N=11.
+        data = make_text(random.Random(2), 2048)
+        packed = roundtrip(tmp_path, capsys, data, "--model", "static", "-N", 11)
+        header, _ = read_container(packed.read_bytes())
+        assert sum(header.model_data) <= 512 < len(data) + 257
+        # At N=10 the cap is 256, below one count for each of 257 symbols.
+        code, _, err = run_cli(
+            capsys, "encode", "--model", "static", "-N", 10,
+            tmp_path / "src.bin", tmp_path / "o",
+        )
+        assert code == 1
+        assert "cannot fit frequency table" in err
+
+    def test_huffman_needs_p2(self, tmp_path, capsys):
+        src = tmp_path / "s"
+        src.write_bytes(b"xy")
+        code, _, err = run_cli(
+            capsys, "encode", "--model", "huffman", "-P", 3, src, tmp_path / "o"
+        )
+        assert code == 1
+        assert "P=2 only" in err
 
     def test_adaptive_needs_room(self, tmp_path, capsys):
         src = tmp_path / "s"

@@ -509,6 +509,27 @@ class TestMalformedStreams:
         with pytest.raises(ValueError, match="decoder already finished"):
             dec.next_symbol()
 
+    def test_finish_rejects_unknown_flush_mode(self):
+        enc = Encoder(StaticModel([1, 1], GridParams(2, 8)))
+        with pytest.raises(ValueError, match="unknown flush mode 'x'"):
+            enc.finish(flush="x")
+        assert not enc.finished
+
+    def test_delimiterless_finish_needs_the_full_interval(self):
+        # Without an end marker nothing is flushed, so a state away from
+        # the full interval would be lost.
+        enc = Encoder(HuffmanModel({0: (0,), 1: (1,)}, P2N4))
+        enc.state.l = 3
+        with pytest.raises(ValueError, match="residual state"):
+            enc.finish()
+
+    def test_decoder_rejects_a_reader_past_its_count(self):
+        model = StaticModel([1, 1], P2N4)
+        reader = DigitReader.from_digits(P2N4, encode([0, 0], model))
+        reader.get_digits(reader.declared_count + 1)
+        with pytest.raises(MalformedStreamError, match="exhausted"):
+            Decoder(reader, model)
+
     def test_step_rejects_end_marker(self):
         enc = Encoder(StaticModel([1, 1], GridParams(2, 8)))
         with pytest.raises(ValueError):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,6 +69,19 @@ class TestGridParams:
         assert params.size == 2**31
         assert params.powers[31] == 2**31
 
+    def test_derived_fields_stay_out_of_eq_and_repr(self):
+        params = GridParams(5, 3)
+        assert params.powers == (1, 5, 25, 125)
+        assert params.size == 125
+        assert "size" not in repr(params) and "powers" not in repr(params)
+
+    def test_subclass_is_never_equal(self):
+        class Child(GridParams):
+            pass
+
+        assert Child(3, 20) != GridParams(3, 20)
+        assert repr(Child(3, 20)).endswith("Child(P=3, N=20)")
+
     @pytest.mark.parametrize("p", [0, 1, 4, 6, 9, 100])
     def test_rejects_nonprime(self, p):
         with pytest.raises(ValueError):
@@ -76,6 +92,49 @@ class TestGridParams:
             GridParams(2, 0)
         with pytest.raises(ValueError):
             GridParams(2, 80)
+
+
+# Each frozen record with an equal twin, a record that differs in one
+# field, and its repr.
+FROZEN = [
+    (
+        GridParams(3, 20),
+        GridParams(P=3, N=20),
+        GridParams(3, 19),
+        "GridParams(P=3, N=20)",
+    ),
+    (
+        DigitVec([1, 0, 2], 3),
+        DigitVec((1, 0, 2), p=3),
+        DigitVec((1, 0, 2), 5),
+        "DigitVec(digits=(1, 0, 2), p=3)",
+    ),
+]
+
+
+@pytest.mark.parametrize("x, twin, other, text", FROZEN, ids=["GridParams", "DigitVec"])
+class TestFrozenRecords:
+    def test_eq_hash_repr(self, x, twin, other, text):
+        assert x == twin and hash(x) == hash(twin)
+        assert x != other
+        assert len({x, twin, other}) == 2
+        assert repr(x) == text
+        # Equal only to the same class, as a dataclass is.
+        assert x.__eq__(tuple(vars(x).values())) is NotImplemented
+
+    def test_copy_and_pickle(self, x, twin, other, text):
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert y == x and hash(y) == hash(x)
+            assert vars(y) == vars(x)
+
+    def test_immutable(self, x, twin, other, text):
+        name = next(iter(vars(x)))
+        for attr in (name, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(x, attr, 1)
+            with pytest.raises(AttributeError):
+                delattr(x, attr)
+        assert vars(x) == vars(twin)
 
 
 class TestDigitVec:

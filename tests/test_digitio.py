@@ -277,6 +277,28 @@ def decode_exit_code(tmp_path, capsys, blob):
     return code
 
 
+class TestContainerHeader:
+    def test_eq_and_repr(self):
+        header = header_for(P2N8, model_kind="static", model_data=[1, 2])
+        assert header == header_for(P2N8, model_kind="static", model_data=[1, 2])
+        assert header != header_for(P2N8, model_kind="static", model_data=[1, 3])
+        assert header != header_for(GridParams(2, 9), model_kind="static", model_data=[1, 2])
+        assert header.__eq__(tuple(vars(header).values())) is NotImplemented
+        assert repr(header) == (
+            "ContainerHeader(params=GridParams(P=2, N=8), ar=True, flush='min', "
+            "model_kind='static', alphabet_size=256, model_data=[1, 2], "
+            "digit_count=0)"
+        )
+        with pytest.raises(TypeError):
+            hash(header)
+
+    def test_mutable(self):
+        header = header_for(P2N8)
+        header.digit_count = 12
+        assert header == header_for(P2N8, digit_count=12)
+        assert header != header_for(P2N8)
+
+
 class TestContainer:
     def test_adaptive_roundtrip(self):
         params = GridParams(2, 31)
@@ -363,6 +385,23 @@ class TestContainer:
         blob[7] |= 0x80
         with pytest.raises(ContainerError, match="flag"):
             read_container(bytes(blob))
+
+    def test_unknown_model_id(self, tmp_path, capsys):
+        blob = bytearray(write_container(header_for(P2N8), b""))
+        blob[8] = max(MODEL_IDS.values()) + 1
+        with pytest.raises(ContainerError, match="unknown model id"):
+            read_container(bytes(blob))
+        assert decode_exit_code(tmp_path, capsys, bytes(blob)) == 3
+
+    def test_huffman_header_at_p3(self, tmp_path, capsys):
+        header = header_for(
+            P2N8, model_kind="huffman", alphabet_size=2, model_data=[1, 1]
+        )
+        blob = bytearray(write_container(header, b""))
+        blob[5] = 3
+        with pytest.raises(ContainerError, match="P=2 only"):
+            read_container(bytes(blob))
+        assert decode_exit_code(tmp_path, capsys, bytes(blob)) == 3
 
     def test_truncated(self):
         blob = write_container(

@@ -147,6 +147,10 @@ class TestAdaptiveModel:
         with pytest.raises(ValueError):
             AdaptiveModel(64, GridParams(2, 6))
 
+    def test_rejects_empty_alphabet(self):
+        with pytest.raises(ValueError, match="alphabet size must be >= 1"):
+            AdaptiveModel(0, GridParams(2, 6))
+
     @pytest.mark.parametrize(
         "params, alphabet, stretch",
         [
@@ -344,6 +348,18 @@ class TestHuffmanModel:
         with pytest.raises(ValueError):
             HuffmanModel({0: (0, 0, 0, 0, 0), 1: (1,)}, P2N4)
 
+    def test_rejects_empty_book(self):
+        with pytest.raises(ValueError, match="empty codebook"):
+            HuffmanModel({}, P2N4)
+
+    def test_rejects_end_marker_outside_book(self):
+        with pytest.raises(ValueError, match="not in codebook"):
+            HuffmanModel({0: (0,), 1: (1,)}, P2N4, eom_symbol=2)
+
+    def test_rejects_digit_outside_base(self):
+        with pytest.raises(ValueError, match="outside base 2"):
+            HuffmanModel({0: (0,), 1: (2,)}, P2N4)
+
     def test_tiling_random_trees(self):
         rng = random.Random(7)
         for _ in range(50):
@@ -440,6 +456,10 @@ class TestHuffmanConstruction:
         # lengths are stored in containers, so the tie order is fixed:
         # leaves before merged nodes, leaves by symbol, merges in order.
         assert huffman_code_lengths(freqs, max_len) == lengths
+
+    def test_rejects_zero_frequency(self):
+        with pytest.raises(ValueError, match="frequencies must be >= 1"):
+            huffman_code_lengths([3, 0, 2])
 
     def test_too_many_symbols_for_depth(self):
         with pytest.raises(ValueError):
