@@ -8,8 +8,10 @@ shortest path) and the record bases of padc's value classes.  A point's
 path is its base-P digits read most significant first; padc.reference
 spells out that notation.
 
-All functions here are pure and all values immutable, so they are safe
-to share between threads.
+All functions here are pure and GridParams is immutable, so they are
+safe to share between threads.  The record bases themselves allow
+assignment: a subclass such as padc.digitio.ContainerHeader may be
+mutable.
 """
 
 

@@ -1,15 +1,16 @@
 """Alternating benchmark pairs of two checkouts, summarised per metric.
 
-    python3 tools/pairs.py PARENT CHANGE [--pairs 10] [--seconds 30]
-        [--seed 0] [--workload NAME ...]
+    python3 tools/pairs.py PARENT CHANGE [--pairs 10] [--seed 0]
+        [--workload NAME ...]
 
 For each workload (default: every one in CHANGE's BENCHMARK.json) this
 runs BENCHMARK.json's command in PARENT and in CHANGE, N times each,
 alternating which side goes first.  Each run gets `--workload NAME
---seed S --seconds T --trace 0` and must print its JSON result as the
-last line of its output.  For every end-to-end metric it prints the
-parent's median and quartiles, the change's, and the number of pairs in
-which the change was better.  A gain is "claimable" when the change
+--seed S --seconds T --trace 0`, with T the run_seconds of CHANGE's
+BENCHMARK.json, and must print its JSON result as the last line of its
+output.  For every end-to-end metric it prints the parent's median and
+quartiles, the change's, and the number of pairs in which the change
+was better.  A gain is "claimable" when the change
 wins at least nine in ten pairs (ties count for neither side) and the
 medians differ, in the better direction, by more than the parent's
 interquartile range.
@@ -70,11 +71,11 @@ def main(argv=None):
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workload", action="append")
     args = parser.parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     sides = {"parent": args.parent, "change": args.change}
     for workload in workloads:
@@ -82,10 +83,10 @@ def main(argv=None):
         for i in range(args.pairs):
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
                 runs[side].append(
-                    run_once(sides[side], bench["command"], workload, args.seed, args.seconds)
+                    run_once(sides[side], bench["command"], workload, args.seed, seconds)
                 )
             print(f"{workload}: pair {i + 1} of {args.pairs} done", file=sys.stderr)
-        print(f"{workload} (seed {args.seed}, {args.seconds:g} s, {args.pairs} pairs)")
+        print(f"{workload} (seed {args.seed}, {seconds:g} s, {args.pairs} pairs)")
         for metric in bench["end_to_end"]:
             name = metric["name"]
             s = summarize(
