@@ -97,13 +97,7 @@ def _static_payload(data, params, freq_file):
         counts = [hist[b] + 1 for b in range(BYTE_ALPHABET)] + [1]  # end marker last
     else:
         counts = _read_freq_file(freq_file)
-    return _scaled_counts(counts, params.powers[params.N - 2])
-
-
-def _adaptive_payload(data, params, freq_file):
-    if BYTE_ALPHABET + 1 > params.powers[params.N - 2]:
-        raise CliError("adaptive byte model needs P**(N-2) >= 257", EXIT_USAGE)
-    return []
+    return _scaled_counts(counts, params.cap)
 
 
 def _huffman_payload(data, params, freq_file):
@@ -118,15 +112,6 @@ def _huffman_payload(data, params, freq_file):
     lens = huffman_code_lengths([hist[s] or 1 for s in present], max_len=params.N)
     book = dict(zip(present, lens))
     return [book.get(b, 0) for b in range(BYTE_ALPHABET)]
-
-
-def _huffman_model(header):
-    # Kraft equality, in O(S) before any codebook is built: only a
-    # complete code tiles the grid.
-    lengths, params = header.model_data, header.params
-    if sum(params.powers[params.N - ln] for ln in lengths if ln) != params.size:
-        raise ContainerError("huffman code lengths do not form a complete code")
-    return HuffmanModel(canonical_codebook(lengths), params)
 
 
 def _unary_payload(data, params, freq_file):
@@ -149,9 +134,13 @@ class _Kind(NamedTuple):
 _KINDS = {
     "static": _Kind(_static_payload, lambda h: StaticModel(h.model_data, h.params)),
     "adaptive": _Kind(
-        _adaptive_payload, lambda h: AdaptiveModel(h.alphabet_size, h.params)
+        lambda data, params, freq_file: [],
+        lambda h: AdaptiveModel(h.alphabet_size, h.params),
     ),
-    "huffman": _Kind(_huffman_payload, _huffman_model),
+    "huffman": _Kind(
+        _huffman_payload,
+        lambda h: HuffmanModel(canonical_codebook(h.model_data), h.params),
+    ),
     "unary": _Kind(  # one symbol, 0, which stands for the stored byte
         _unary_payload, lambda h: UnaryModel(h.params), alphabet_size=1,
         tables=lambda model_data: (bytes(256), bytes(model_data) * 256),
@@ -190,6 +179,14 @@ def _encode_container(data, params, args, freq_file=None):
     return write_container(header, writer.to_bytes())
 
 
+def _encode_or_exit(data, params, args, freq_file=None):
+    """_encode_container, with the models' ValueError as a usage error."""
+    try:
+        return _encode_container(data, params, args, freq_file)
+    except ValueError as e:
+        raise CliError(f"model misconfiguration: {e}", EXIT_USAGE) from None
+
+
 def _decode_bytes(header, reader):
     model, (_, to_bytes) = _model_from_header(header)
     out = Decoder(reader, model, ar=header.ar).run(bytearray())
@@ -201,10 +198,7 @@ def cmd_encode(args):
         raise CliError("--freq-file applies to --model static only", EXIT_USAGE)
     params = _check_grid(args.P, args.N)
     data = _read(args.input)
-    try:
-        blob = _encode_container(data, params, args, args.freq_file)
-    except ValueError as e:
-        raise CliError(f"model misconfiguration: {e}", EXIT_USAGE) from None
+    blob = _encode_or_exit(data, params, args, args.freq_file)
     try:
         Path(args.output).write_bytes(blob)
     except OSError as e:
@@ -254,6 +248,7 @@ def cmd_bench(args):
     if not root.is_dir():
         raise CliError(f"not a directory: {root}", EXIT_IO)
     files = sorted(p for p in root.iterdir() if p.is_file())
+    _encode_or_exit(b"", params, args)  # a model the grid cannot hold: exit 1
     print("name,original_bytes,compressed_bytes,bits_per_byte,seconds,status")
     total_in = total_out = 0
     total_time = 0.0

@@ -81,18 +81,18 @@ class MalformedStreamError(ValueError):
 
 def width_floor(params: GridParams) -> int:
     """Smallest width the rescaling phase can leave behind: one quarter
-    of the ring (P**(N-2)) plus one grid unit.
+    of the ring (params.cap = P**(N-2)) plus one grid unit.
 
     The bound is tight and follows from the renormalization conditions:
     an interval that still straddles a level-1 boundary after rescaling
     must keep one arm of at least P**(N-2) around the boundary, else a
     fold (or the narrowing valve) would have fired.  It also guarantees
-    that models capped at a total of P**(N-2) never produce an empty
+    that models capped at a total of params.cap never produce an empty
     symbol interval.
     """
     if params.N < 2:
         raise ValueError("width floor needs a grid of level N >= 2")
-    return params.powers[params.N - 2] + 1
+    return params.cap + 1
 
 
 class CoderState:

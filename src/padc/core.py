@@ -73,7 +73,9 @@ class _FrozenRecord(_Record):
 
 class GridParams(_FrozenRecord):
     """Grid parameters: prime base P and level N (ring size P**N), with
-    the derived size = P**N and powers = (P**0, ..., P**N)."""
+    the derived size = P**N, powers = (P**0, ..., P**N) and cap = P**(N-2)
+    (0 below level 2), the one definition of the model cap: the coder's
+    width floor, cap + 1, leaves no cell of a total up to cap empty."""
 
     _fields = ("P", "N")
 
@@ -86,7 +88,8 @@ class GridParams(_FrozenRecord):
         if size > MAX_RING:
             raise ValueError(f"P**N too large (P={P}, N={N})")
         powers = tuple([P**i for i in range(N + 1)])
-        vars(self).update(P=P, N=N, size=size, powers=powers)
+        cap = powers[N - 2] if N >= 2 else 0
+        vars(self).update(P=P, N=N, size=size, powers=powers, cap=cap)
 
 
 def _check_index(k: int, params: GridParams) -> None:

@@ -20,12 +20,12 @@ exactly: no gaps, no overlaps.  When w equals T the floors are exact,
 a = C[i] and b = C[i+1], and the table models take that path without a
 multiply or divide.  A Huffman model always does: its total is P**N and
 every symbol starts from the full ring.  A coding static model never
-does, as its total is at most P**(N-2), below the width floor.  The
-adaptive model reads C from a table built at its last rebuild plus a
-sorted log of the symbols coded since then.
+does: its total is at most GridParams.cap, the one model cap, below the
+width floor cap + 1.  The adaptive model reads C from a table built at
+its last rebuild plus a sorted log of the symbols coded since then.
 """
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 
@@ -39,7 +39,7 @@ class StaticModel:
     """Fixed cumulative-frequency model; the last index is end-of-message.
 
     Counts must all be at least 1.  Full-stream coding additionally needs
-    the total to fit the grid (total <= P**(N-2)); that is checked when a
+    the total to fit the grid (total <= params.cap); that is checked when a
     coding session starts, not here, so narrow test tables stay usable.
     """
 
@@ -51,9 +51,7 @@ class StaticModel:
             raise ValueError("all symbol counts must be >= 1")
         self.params = params
         self.num_symbols = len(counts)
-        self.cum = [0]
-        for c in counts:
-            self.cum.append(self.cum[-1] + c)
+        self.cum = list(accumulate(counts, initial=0))
         self.total = self.cum[-1]
         if self.total > params.size:
             raise ValueError("count total exceeds ring size")
@@ -62,10 +60,9 @@ class StaticModel:
         self.rows = dict(zip(self.symbols, self.symbols))  # symbol -> row
 
     def validate_for_coding(self):
-        cap = self.params.powers[self.params.N - 2] if self.params.N >= 2 else 0
-        if self.total > cap:
+        if self.total > self.params.cap:
             raise ValueError(
-                f"count total {self.total} exceeds grid cap {cap}"
+                f"count total {self.total} exceeds grid cap {self.params.cap}"
                 f" (P={self.params.P}, N={self.params.N})"
             )
 
@@ -91,25 +88,26 @@ class StaticModel:
 
 class AdaptiveModel:
     """Order-0 adaptive model: every count starts at 1 and grows by 1 per
-    coded symbol.  When the total would pass the grid cap P**(N-2) all
-    counts are halved (floor, clamped to 1).  Encoder and decoder apply
+    coded symbol.  When the total would pass the grid cap (params.cap)
+    all counts are halved (floor, clamped to 1).  Encoder and decoder apply
     the same updates, so their tables agree at every step.
 
     The exact counts sit in a plain list, beside a cumulative table from
     the last rebuild (cum[i] counts the symbols below i, for i < n) and
     the sorted log of symbols coded since then: the exact count below i
-    is cum[i] + bisect_left(recent, i), two C-level lookups.  The table
-    is rebuilt every _REBUILD_EVERY symbols and when counts are halved.
+    is cum[i] + bisect_left(recent, i), two C-level lookups, and a coded
+    symbol joins the log at that index.  The table is rebuilt when the
+    total reaches _due: _REBUILD_EVERY symbols on, or past the cap.
     """
 
     def __init__(self, alphabet_size, params: GridParams):
         if alphabet_size < 1:
             raise ValueError("alphabet size must be >= 1")
         self.params = params
-        self.cap = params.powers[params.N - 2] if params.N >= 2 else 0
-        if alphabet_size + 1 > self.cap:
+        if alphabet_size + 1 > params.cap:
             raise ValueError(
-                f"alphabet of {alphabet_size} symbols (+EOM) exceeds grid cap {self.cap}"
+                f"alphabet of {alphabet_size} symbols (+EOM)"
+                f" exceeds grid cap {params.cap}"
             )
         self.eom = alphabet_size
         self.num_symbols = self.total = alphabet_size + 1
@@ -123,22 +121,24 @@ class AdaptiveModel:
         pass
 
     def _rebuild(self):
-        if self.total > self.cap:
+        if self.total > self.params.cap:
             self._count = [max(1, c // 2) for c in self._count]
             self.total = sum(self._count)
         self._cum = list(accumulate(self._count[:-1], initial=0))
         self._recent = []
+        self._due = min(self.total + _REBUILD_EVERY, self.params.cap + 1)
 
     def code(self, symbol, w):
         if not 0 <= symbol < self.num_symbols:
             raise ValueError(f"unknown symbol {symbol!r}")
         count, recent, total = self._count, self._recent, self.total
-        lo = self._cum[symbol] + bisect_left(recent, symbol)
+        j = bisect_left(recent, symbol)
+        lo = self._cum[symbol] + j
         c = count[symbol]
         count[symbol] = c + 1
         self.total = total + 1
-        insort(recent, symbol)
-        if len(recent) == _REBUILD_EVERY or total >= self.cap:
+        recent.insert(j, symbol)
+        if total + 1 == self._due:
             self._rebuild()
         return w * lo // total, w * (lo + c) // total
 
@@ -148,16 +148,17 @@ class AdaptiveModel:
         # The stale table undercounts, so its symbol is an upper bound.
         x = (total * (off + 1) - 1) // w
         symbol = bisect_right(cum, x) - 1
-        lo = cum[symbol] + bisect_left(recent, symbol)
-        while lo > x:
+        j = bisect_left(recent, symbol)
+        while cum[symbol] + j > x:
             symbol -= 1
-            lo = cum[symbol] + bisect_left(recent, symbol)
+            j = bisect_left(recent, symbol)
+        lo = cum[symbol] + j
         # lo <= x < lo + c, so the located cell holds off and is never empty.
         c = count[symbol]
         count[symbol] = c + 1
         self.total = total + 1
-        insort(recent, symbol)
-        if len(recent) == _REBUILD_EVERY or total >= self.cap:
+        recent.insert(j, symbol)
+        if total + 1 == self._due:
             self._rebuild()
         return w * lo // total, w * (lo + c) // total, symbol
 

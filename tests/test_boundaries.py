@@ -10,7 +10,9 @@ struct, where digit strings take one path for every P.  The CLI builds
 its models in one place.  No model names its kind, and the coder asks a
 model for nothing past the contract in codec's docstring.  A model's
 code and decode see offsets within a width, so the ring wrap lives in
-codec alone.  No module builds a tuple from a generator.  Importing
+codec alone.  The model cap P**(N-2) is derived in core alone, and the
+CLI leaves the Kraft sum to HuffmanModel's own tiling check.  No module
+builds a tuple from a generator.  Importing
 the CLI loads neither dataclasses nor inspect: that chain (ast, dis,
 tokenize) would add about 1 MiB to every start-up.
 """
@@ -197,6 +199,32 @@ def test_cli_builds_models_only_from_the_header():
     assert [name for name, f in defs.items() if calls(f, {"model"})] == [
         "_model_from_header"
     ]
+
+
+def test_the_model_cap_is_derived_in_core_alone():
+    # GridParams.cap is the one P**(N-2): cli, codec and models read it and
+    # index nothing, powers or an alias of it, with N - 2.
+    def is_n_minus_two(node):
+        return (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Sub)
+            and getattr(node.left, "id", getattr(node.left, "attr", None)) == "N"
+            and isinstance(node.right, ast.Constant)
+            and node.right.value == 2
+        )
+
+    for m in ("cli", "codec", "models"):
+        for node in ast.walk(ast.parse((SRC / f"{m}.py").read_text())):
+            if isinstance(node, ast.Subscript):
+                assert not is_n_minus_two(node.slice), f"{m}.py:{node.lineno}"
+
+
+def test_cli_sums_no_powers():
+    # A Huffman table's Kraft sum is HuffmanModel's to check, as the tiling
+    # of its cells; the CLI makes no copy of it.
+    for call in calls(ast.parse((SRC / "cli.py").read_text()), {"sum"}):
+        names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(call)}
+        assert "powers" not in names, f"cli.py:{call.lineno}"
 
 
 def test_models_carry_no_kind_tag_and_codec_probes_none():

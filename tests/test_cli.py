@@ -234,6 +234,12 @@ class TestErrors:
         src.write_bytes(b"x")
         code, _, err = run_cli(capsys, "encode", "-N", 8, src, tmp_path / "o")
         assert code == 1
+        # AdaptiveModel's own check, at P**(N-2) = 64 for 257 symbols
+        assert "model misconfiguration: alphabet of 256 symbols (+EOM)" in err
+        assert "exceeds grid cap 64" in err
+        # padc bench rejects the flags once, before any file or CSV line
+        code, out, err = run_cli(capsys, "bench", "-N", 8, tmp_path)
+        assert code == 1 and out == "" and "exceeds grid cap 64" in err
 
     def test_decode_garbage(self, tmp_path, capsys):
         bad = tmp_path / "bad"

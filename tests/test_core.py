@@ -75,6 +75,20 @@ class TestGridParams:
         assert params.size == 125
         assert "size" not in repr(params) and "powers" not in repr(params)
 
+    @pytest.mark.parametrize(
+        "p, n, cap", [(2, 31, 2**29), (3, 20, 3**18), (5, 2, 1), (3, 1, 0)]
+    )
+    def test_cap_is_derived_and_leaves_the_record_as_it_was(self, p, n, cap):
+        # cap = P**(N-2), 0 below level 2, stays out of eq, hash and repr,
+        # and copy and pickle keep it.
+        params = GridParams(p, n)
+        assert params.cap == cap
+        assert params == GridParams(P=p, N=n) and hash(params) == hash((p, n))
+        assert repr(params) == f"GridParams(P={p}, N={n})"
+        for twin in (copy.copy(params), pickle.loads(pickle.dumps(params))):
+            assert twin == params and hash(twin) == hash(params)
+            assert twin.cap == cap
+
     def test_subclass_is_never_equal(self):
         class Child(GridParams):
             pass

@@ -670,7 +670,7 @@ class TestGammaRun:
     ):
         # 65,535 code lengths of 31 at N=31: each is in range, but their
         # Kraft sum is far below 1.  A codebook of them would take most of
-        # a second and about 40 MiB.
+        # a second and about 40 MiB; the alphabet check stops them first.
         blob = fixed_header("huffman", 65535) + _write_run([32] * 65535 + [1])
         read_container(blob)
         start = time.perf_counter()
@@ -688,8 +688,8 @@ class TestGammaRun:
         self, tmp_path, capsys
     ):
         # 65,535 code lengths at N=31, one of 15 and the rest 16: a complete
-        # code, so the Kraft check passes, over an alphabet of 65,535 where
-        # the CLI's huffman kind has 256 symbols.  With no digits a
+        # code, so its cells would tile the grid, over an alphabet of 65,535
+        # where the CLI's huffman kind has 256 symbols.  With no digits a
         # codebook of it would decode to nothing and exit 0.
         blob = fixed_header("huffman", 65535) + _write_run([16] + [17] * 65534 + [1])
         assert len(read_container(blob)[0].model_data) == 65535
@@ -705,14 +705,24 @@ class TestGammaRun:
         assert peak < 10 * 2**20
 
     @pytest.mark.parametrize(
-        "lengths", [[1, 2, 0], [1, 1, 1]], ids=["incomplete", "over-full"]
+        "lengths, message",
+        [
+            ([1, 2, 0], "codebook cells do not tile the grid"),
+            ([1, 1, 1], "count total exceeds ring size"),
+            ([0, 0, 0], "empty codebook"),
+            ([1, 1, 31], "count total exceeds ring size"),  # by one point of 2**31
+        ],
+        ids=["incomplete", "over-full", "all-absent", "over-full-by-one"],
     )
-    def test_huffman_book_not_complete_rejected(self, tmp_path, capsys, lengths):
+    def test_huffman_book_not_complete_rejected(
+        self, tmp_path, capsys, lengths, message
+    ):
+        # HuffmanModel's own checks reject the table: the CLI adds none.
         blob = fixed_header("huffman", 3) + _write_run([n + 1 for n in lengths] + [1])
         packed = tmp_path / "packed.padc"
         packed.write_bytes(blob)
         assert main(["decode", str(packed), str(tmp_path / "out")]) == 3
-        assert "lengths do not form a complete code" in capsys.readouterr().err
+        assert f"padc: corrupt stream: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "kind, S, values, match",

@@ -24,6 +24,7 @@ from padc import (
     huffman_code_lengths,
     width_floor,
 )
+from padc.models import _REBUILD_EVERY
 from helpers import decoder_at, random_binary_book, random_pary_book, scaled_counts
 
 P2N4 = GridParams(2, 4)
@@ -142,6 +143,40 @@ class TestAdaptiveModel:
             a, b = enc.code(s, params.size)
             assert dec.decode(a, params.size) == (a, b, s)
             assert enc.counts() == dec.counts()
+
+    @pytest.mark.parametrize(
+        "params, alphabet",
+        [(GridParams(2, 11), 5), (GridParams(3, 6), 7), (GridParams(5, 5), 30)],
+    )
+    def test_rebuilds_at_the_same_symbols_as_a_naive_model(self, params, alphabet):
+        """The table is rebuilt when _REBUILD_EVERY symbols have been
+        logged or the total passes the cap, which halves the counts: a
+        plain count list that applies both rules at every symbol shows the
+        same log, table and counts after each code or decode."""
+        rng = random.Random(alphabet)
+        size, cap = params.size, params.cap
+        m = AdaptiveModel(alphabet, params)
+        counts = [1] * (alphabet + 1)
+        table, logged, fills, halvings = m._cum, 0, 0, 0
+        for step in range(3000):
+            s = min(int(rng.expovariate(0.4)), alphabet)
+            if step % 2:
+                lo, total = sum(counts[:s]), sum(counts)
+                assert m.decode(size * lo // total, size)[2] == s
+            else:
+                m.code(s, size)
+            counts[s] += 1
+            logged += 1
+            if logged == _REBUILD_EVERY or sum(counts) > cap:
+                if sum(counts) > cap:
+                    counts = [max(1, c // 2) for c in counts]
+                    halvings += 1
+                else:
+                    fills += 1
+                table, logged = list(accumulate(counts[:-1], initial=0)), 0
+            assert len(m._recent) == logged
+            assert m._cum == table and m.counts() == counts
+        assert fills and halvings
 
     def test_rejects_oversized_alphabet(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""The summary rule of tools/pairs.py, on fixed numbers."""
+"""The summary and verdict rules of tools/pairs.py, on fixed numbers."""
 
 import importlib.util
 from pathlib import Path
@@ -50,3 +50,29 @@ def test_needs_matched_pairs():
         pairs.summarize(PARENT, PARENT[:-1], "lower")
     with pytest.raises(ValueError):
         pairs.summarize([], [], "lower")
+
+
+# The verdict's margin is bound times the parent's median of 12.
+
+
+def test_a_median_worse_by_more_than_the_bound_is_worse():
+    assert pairs.verdict(PARENT, [p + 4 for p in PARENT], "lower", 0.25) == "worse"
+    assert pairs.verdict(PARENT, [p - 4 for p in PARENT], "higher", 0.25) == "worse"
+
+
+def test_a_median_worse_inside_the_bound_is_ok():
+    assert pairs.verdict(PARENT, [p + 2 for p in PARENT], "lower", 0.25) == "ok"
+    assert pairs.verdict(PARENT, [p + 9 for p in PARENT], "higher", 0.25) == "ok"
+
+
+def test_a_parent_iqr_wider_than_the_margin_is_unresolved():
+    # margin 1.2 against an IQR of 2.5
+    assert pairs.verdict(PARENT, PARENT, "lower", 0.1) == "unresolved"
+    assert pairs.verdict(PARENT, [p + 5 for p in PARENT], "lower", 0.1) == "worse"
+
+
+def test_a_change_that_beats_every_parent_run_resolves_a_wide_iqr():
+    assert pairs.verdict(PARENT, [9.5] * 10, "lower", 0.1) == "ok"
+    assert pairs.verdict(PARENT, [14.5] * 10, "higher", 0.1) == "ok"
+    # a tie with the best parent run is not a win
+    assert pairs.verdict(PARENT, [10] * 10, "lower", 0.1) == "unresolved"

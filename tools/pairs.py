@@ -13,7 +13,11 @@ quartiles, the change's, and the number of pairs in which the change
 was better.  A gain is "claimable" when the change
 wins at least nine in ten pairs (ties count for neither side) and the
 medians differ, in the better direction, by more than the parent's
-interquartile range.
+interquartile range.  Each metric also gets a no-regression verdict
+from its BENCHMARK.json bound: "worse" when the change's median is
+worse than the parent's by more than bound times the parent's median,
+else "unresolved" when the parent's interquartile range is wider than
+that, unless every change run beats every parent run, else "ok".
 
 Exits 1 as soon as a run fails or reports "correct": false.  Stdlib
 only; it is a measurement tool and not part of the test suite.
@@ -50,6 +54,20 @@ def summarize(parent, change, better):
         "wins": wins,
         "claimable": 10 * wins >= 9 * len(parent) and shift > pq[2] - pq[0],
     }
+
+
+def verdict(parent, change, better, bound):
+    """"worse", "unresolved" or "ok" for one metric against its bound, a
+    fraction of the parent's median; see the module docstring."""
+    sign = 1 if better == "higher" else -1
+    (p1, pm, p3), cm = quartiles(parent), quartiles(change)[1]
+    margin = bound * abs(pm)
+    beats_all = min(sign * c for c in change) > max(sign * p for p in parent)
+    if sign * (cm - pm) < -margin:
+        return "worse"
+    if p3 - p1 > margin and not beats_all:
+        return "unresolved"
+    return "ok"
 
 
 def run_once(checkout, command, workload, seed, seconds):
@@ -89,16 +107,15 @@ def main(argv=None):
         print(f"{workload} (seed {args.seed}, {seconds:g} s, {args.pairs} pairs)")
         for metric in bench["end_to_end"]:
             name = metric["name"]
-            s = summarize(
-                [r[name] for r in runs["parent"]],
-                [r[name] for r in runs["change"]],
-                metric["better"],
-            )
+            parent = [r[name] for r in runs["parent"]]
+            change = [r[name] for r in runs["change"]]
+            s = summarize(parent, change, metric["better"])
             (p1, pm, p3), (c1, cm, c3) = s["parent"], s["change"]
             print(
                 f"  {name:24} parent {pm:.4g} [{p1:.4g}, {p3:.4g}]"
                 f"  change {cm:.4g} [{c1:.4g}, {c3:.4g}] {metric['unit']}"
                 f"  better in {s['wins']}/{s['pairs']}"
+                f"  {verdict(parent, change, metric['better'], metric['bound'])}"
                 + ("  claimable" if s["claimable"] else "")
             )
     return 0
