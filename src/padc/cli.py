@@ -17,7 +17,7 @@ from functools import cache
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .codec import Decoder, Encoder, MalformedStreamError
+from .codec import Decoder, Encoder
 from .core import GridParams
 from .digitio import ContainerError, ContainerHeader, DigitWriter, model_bytes
 from .digitio import read_container, write_container
@@ -187,12 +187,6 @@ def _encode_or_exit(data, params, args, freq_file=None):
         raise CliError(f"model misconfiguration: {e}", EXIT_USAGE) from None
 
 
-def _decode_bytes(header, reader):
-    model, (_, to_bytes) = _model_from_header(header)
-    out = Decoder(reader, model, ar=header.ar).run(bytearray())
-    return bytes(out).translate(to_bytes)
-
-
 def cmd_encode(args):
     if args.freq_file is not None and args.model != "static":
         raise CliError("--freq-file applies to --model static only", EXIT_USAGE)
@@ -211,10 +205,14 @@ def cmd_decode(args):
     blob = _read(args.input)
     try:
         header, reader = read_container(blob)
-        data = _decode_bytes(header, reader)
-    except ContainerError as e:
+        # A table the model refuses is a bad header, not a bad stream.
+        model, (_, to_bytes) = _model_from_header(header)
+        dec = Decoder(reader, model, ar=header.ar)
+    except ValueError as e:  # ContainerError included
         raise CliError(f"bad container: {e}", EXIT_FORMAT) from None
-    except (MalformedStreamError, ValueError) as e:
+    try:
+        data = bytes(dec.run(bytearray())).translate(to_bytes)
+    except ValueError as e:  # MalformedStreamError included
         raise CliError(f"corrupt stream: {e}", EXIT_FORMAT) from None
     try:
         Path(args.output).write_bytes(data)

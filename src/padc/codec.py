@@ -10,7 +10,7 @@ remembering the pivot digit and how many folds are pending; the deferred
 digits are written once the interval finally leaves the pivot (a run of
 zeros when it exits to the right of the pivot, a run of P-1 digits when
 it exits to the left).  The decoder mirrors every rescaling step on a
-sliding window of N stream digits, tracked as the window's index value.
+sliding window of N stream digits.
 
 If the interval straddles a level-1 boundary too loosely for a fold, it
 can shrink without either renormalization applying.  Before that starves
@@ -24,22 +24,29 @@ Encoder.run and Decoder.run (step() and next_symbol() are one-symbol
 runs) keep the state in local variables over a whole message, do prefix
 renorm and folds as inline integer arithmetic, and apply a run of k
 folds as one index operation; padc.reference holds the per-event
-transitions they are tested against.  Both take the length of the
-edges' shared prefix on every pass, and with folds pending a nonzero
+transitions they are tested against.  The loops carry the interval as
+(l, w), left edge and width with l + w <= P**N, and the decoder's
+window as its offset off = g - l, so nothing wraps mod P**N: a prefix
+shift of n digits takes l to (l % P**(N-n)) * P**n and multiplies w and
+off by P**n, and k folds multiply them by P**k.  CoderState keeps (l, r)
+and Decoder.g the window; the loops convert on entry and exit and
+around the encoder's reference calls.  Both take the length of the
+edges' shared prefix on every pass, at P>2 by one modulo a digit
+(l % P**(N-1-n) + w <= P**(N-1-n)), and with folds pending a nonzero
 length is the straddle exit: edges that straddle the pivot share no
 first digit, and edges that have left it share one.  The encoder
 resolves each exit and each valve's prefix through straddle_flush and
 renorm_prefix, one call per event, so tools that wrap those names in
-this module still see those rarer events.  For every P the encoder
-collects the digits it emits as one base-P number and hands it to
-DigitWriter.push_number; the decoder reads stream digits ahead of its
-window, _READ_DIGITS at a time with DigitReader.value, and takes the
-digits its window is owed off the front of that number.
+this module still see those rarer events.  The encoder collects the
+digits it emits as one base-P number for DigitWriter.push_number; the
+decoder reads stream digits ahead of its window, _READ_DIGITS at a
+time with DigitReader.value, and takes the digits its window is owed
+off the front of that number.
 
 At P=2 both loops fold with shifts and masks: the level-1 point is
 top = 2**(N-1), which is a two-digit CPython int from N=31 on, so each
-// or % by it is a long division.  P>2 keeps the division, and so do
-prefix renorm and the width at every P: shifts there measured no faster.
+// or % by it is a long division.  P>2 keeps the division, and so does
+prefix renorm at every P: shifts there measured no faster.
 
 A model is any object with params (its GridParams); eom, the end marker
 Encoder.finish() codes, or None when the digit count ends the stream;
@@ -49,9 +56,9 @@ hold the offset off; and validate_for_coding(), which both ends call
 once as they start and which raises ValueError for a model that cannot
 code a whole stream.  Cells are offsets from the interval's left edge,
 0 <= a <= off < b <= w, so the coder owns the ring arithmetic: it passes
-the width it keeps for the floor check, raises ValueError for a window
-outside the interval and for an empty cell, and moves the edges to
-(l + a) % P**N and (l + b) % P**N.  It branches on no model kind.
+the width it keeps for the floor check, raises ValueError for an empty
+cell and for a window outside the interval, and moves the interval to
+l + a with width b - a.  It branches on no model kind.
 
 Encoder and Decoder share one session base: the model, its grid, the
 state, ar, the width floor, the finished flag and the grid constants
@@ -170,8 +177,8 @@ class Encoder(_Session):
         P, N, size, pw, top, rpw, binary, S, tmask = self._grid
         floor, ar = self.floor, self.ar
         st = self.state
-        l, r, pivot, pending = st.l, st.r, st.pivot, st.pending
-        w = (r - l) % size or size
+        l, pivot, pending = st.l, st.pivot, st.pending
+        w = (st.r - l) % size or size
         acc = nacc = 0  # digits not yet pushed, as the nacc base-P digits of acc
         n_prefix = n_flush = n_flush_digits = n_fold = n_valve = 0
         try:
@@ -181,18 +188,17 @@ class Encoder(_Session):
                 a, b = code(s, w)
                 if a >= b:
                     raise _empty_cell(a, b, w)
-                l, r = (l + a) % size, (l + b) % size
+                l, w = l + a, b - a
                 while True:
-                    r1 = (r - 1) % size
                     if binary:
-                        n = N - (l ^ r1).bit_length()
+                        n = N - (l ^ (l + w - 1)).bit_length()
                     else:
                         n = 0
-                        while n < N and l // rpw[n] == r1 // rpw[n]:
+                        while n < N and l % rpw[n] + w <= rpw[n]:
                             n += 1
                     if n and pending:
                         # A straddle exit (see the module docstring).
-                        st.l, st.r, st.pivot, st.pending = l, r, pivot, pending
+                        st.l, st.r, st.pivot, st.pending = l, (l + w) % size, pivot, pending
                         flushed = straddle_flush(st)
                         n_flush += 1
                         n_flush_digits += pending + 1
@@ -200,41 +206,41 @@ class Encoder(_Session):
                         # copies of P-1 when the interval exits right of it
                         acc = (acc * P + pivot) * P**pending - (flushed[0] < pivot)
                         nacc += pending + 1
-                        l, r, pivot, pending = st.l, st.r, 0, 0
+                        l, w, pivot, pending = st.l, w * P, 0, 0
                         n -= 1
                     if n:
                         q, u = pw[N - n], pw[n]
                         acc = acc * u + l // q
                         nacc += n
                         n_prefix += n
-                        l = (l % q) * u
-                        r = (r % q) * u
+                        l, w = (l % q) * u, w * u
                     if ar and binary:
-                        # The fold below on bits: the pivot is 1, and k is
-                        # S less the bit length of the wider arm.
-                        if l < top <= r:
+                        # The fold below on bits: the pivot is 1, k is S less
+                        # the bit length of the wider arm, and a right edge
+                        # at the ring end straddles nothing.
+                        r = l + w
+                        if l < top <= r < size:
                             k = S - ((r | ~l) & tmask).bit_length()
                             if k:
                                 pivot = 1
                                 pending += k
                                 n_fold += k
-                                l = l << k & tmask
-                                r = r << k & tmask | top
+                                l, w = l << k & tmask, w << k
                     elif ar:
-                        tl, tr = l // top, r // top
+                        # No ring-end bound: at l + w == size, tr - tl == 1 is
+                        # a shared first digit P-1, which the shift has taken.
+                        tl, tr = l // top, (l + w) // top
                         if tr - tl == 1:
                             # k folds at once: the shorter of the runs of P-1
                             # digits in l and of 0 digits in r under the top.
-                            k = N - 1 - bisect_right(pw, max(top - 1 - l % top, r % top))
+                            k = N - 1 - bisect_right(pw, max(top - 1 - l % top, (l + w) % top))
                             if k:
                                 if not pivot:
                                     pivot = tr
                                 pending += k
                                 n_fold += k
                                 q, u = pw[N - 1 - k], pw[k]
-                                l = tl * top + (l % q) * u
-                                r = tr * top + (r % q) * u
-                    w = (r - l) % size or size
+                                l, w = tl * top + (l % q) * u, w * u
                     if pending or w >= floor:
                         break
                     # Narrowing valve: the interval shrank onto a level-1
@@ -242,24 +248,24 @@ class Encoder(_Session):
                     # side so prefix renorm can fire.  With folds enabled
                     # it never fires; it is the only escape when ar is off.
                     n_valve += 1
-                    boundary = (l // top + 1) * top
-                    if boundary - l >= (r or size) - boundary:
-                        r = boundary
+                    d = top - l % top  # the boundary is l + d
+                    if d + d >= w:
+                        w = d
                     else:
-                        l = boundary
-                    st.l, st.r, st.pending = l, r, 0
+                        l, w = l + d, w - d
+                    st.l, st.r, st.pending = l, (l + w) % size, 0
                     n = len(renorm_prefix(st))
                     acc = acc * pw[n] + l // pw[N - n]
                     nacc += n
                     n_prefix += n
-                    l, r = st.l, st.r
+                    l, w = st.l, w * pw[n]
                 if w < floor:
                     raise AssertionError(f"width floor violated: {w} < {floor}")
                 if nacc > _PUSH_DIGITS:
                     writer.push_number(acc, nacc)
                     acc = nacc = 0
         finally:
-            st.l, st.r, st.pivot, st.pending = l, r, pivot, pending
+            st.l, st.r, st.pivot, st.pending = l, (l + w) % size, pivot, pending
             writer.push_number(acc, nacc)
             self.prefix_digits += n_prefix
             self.flushes += n_flush
@@ -351,15 +357,17 @@ class Decoder(_Session):
         appending them, the end marker excluded, to out (a new list by
         default); returns out.
 
-        The window is shifted like the interval edges, with zeros filled
-        in; the m stream digits it is owed are added in one step before
-        its value is next used.  That is exact: both edges then end in m
-        zero digits, which no later shift or fold of the symbol reaches
-        past, so none reaches past them on the window either.  The digits
-        come from a read-ahead number refilled a chunk at a time; digits
-        in it are only cached, not consumed, so reader.consumed and the
-        point where the budget check trips are the same as with one read
-        per symbol.
+        The window's offset off = g - l is scaled like the width, with
+        zeros filled in; the m stream digits it is owed are added in one
+        step before its value is next used.  That is exact: both edges
+        then end in m zero digits, which no later shift or fold of the
+        symbol reaches past.  So off < w holds after every step for any
+        stream (a cell holds off, owed digits fill zeros, the valve keeps
+        the window's side), and the window is checked once, on entry.
+        The digits come from a read-ahead number refilled a chunk at a
+        time; they are only cached, not consumed, so reader.consumed and
+        the point where the budget check trips are those of one read per
+        symbol.
 
         The budget is checked at the prefix shift alone: with c digits
         read and m owed, c + m - pending <= declared_count + N holds
@@ -381,29 +389,27 @@ class Decoder(_Session):
         until_end = eom is None  # delimited by digit count
         append = out.append
         st = self.state
-        l, r, pivot, pending = st.l, st.r, st.pivot, st.pending
-        w = (r - l) % size or size
-        g, c, m = self.g, reader.consumed, 0  # c digits read, m more owed
+        l, pivot, pending = st.l, st.pivot, st.pending
+        w, off = (st.r - l) % size or size, (self.g - l) % size
+        if off >= w:
+            raise ValueError(f"code point {self.g} outside interval [{l}, {st.r})")
+        c, m = reader.consumed, 0  # c digits read, m more owed
         buf, nb = self._ahead
         try:
             for _ in repeat(None) if limit is None else range(limit):
                 if until_end and c >= budget:
                     break
-                off = (g - l) % size
-                if off >= w:
-                    raise ValueError(f"code point {g} outside interval [{l}, {r})")
                 a, b, s = decode(off, w)
-                l, r = (l + a) % size, (l + b) % size
+                l, w, off = l + a, b - a, off - a
                 if s == eom:
                     self.finished = True
                     break
                 while True:
-                    r1 = (r - 1) % size
                     if binary:
-                        n = N - (l ^ r1).bit_length()
+                        n = N - (l ^ (l + w - 1)).bit_length()
                     else:
                         n = 0
-                        while n < N and l // rpw[n] == r1 // rpw[n]:
+                        while n < N and l % rpw[n] + w <= rpw[n]:
                             n += 1
                     if n:
                         # With folds pending this is a straddle exit, and the
@@ -412,32 +418,27 @@ class Decoder(_Session):
                         if c + n > budget:
                             raise _exhausted()
                         q, u = pw[N - n], pw[n]
-                        l = (l % q) * u
-                        r = (r % q) * u
-                        g = (g % q) * u
+                        l, w, off = (l % q) * u, w * u, off * u
                         m = n
                     if ar and binary:
-                        if l < top <= r:
+                        r = l + w
+                        if l < top <= r < size:
                             k = S - ((r | ~l) & tmask).bit_length()
                             if k:
                                 pivot = 1
                                 pending += k
-                                l = l << k & tmask
-                                r = r << k & tmask | top
-                                g = g & top | g << k & tmask
+                                l, w, off = l << k & tmask, w << k, off << k
                                 m += k
                     elif ar:
-                        tl, tr = l // top, r // top
+                        tl, tr = l // top, (l + w) // top
                         if tr - tl == 1:
-                            k = N - 1 - bisect_right(pw, max(top - 1 - l % top, r % top))
+                            k = N - 1 - bisect_right(pw, max(top - 1 - l % top, (l + w) % top))
                             if k:
                                 if not pivot:
                                     pivot = tr
                                 pending += k
                                 q, u = pw[N - 1 - k], pw[k]
-                                l = tl * top + (l % q) * u
-                                r = tr * top + (r % q) * u
-                                g = g // top * top + (g % q) * u
+                                l, w, off = tl * top + (l % q) * u, w * u, off * u
                                 m += k
                     if m:
                         while nb < m:
@@ -445,29 +446,28 @@ class Decoder(_Session):
                             nb += chunk
                         nb -= m
                         if binary:
-                            g += buf >> nb
+                            off += buf >> nb
                             buf &= apw[nb] - 1
                         else:
                             q, buf = divmod(buf, apw[nb])
-                            g += q
+                            off += q
                         c += m
                         m = 0
-                    w = (r - l) % size or size
                     if pending or w >= floor:
                         break
                     # Mirror of the encoder's narrowing valve; the window
-                    # value identifies the side the encoder kept.
-                    boundary = (l // top + 1) * top
-                    if g < boundary:
-                        r = boundary
+                    # offset identifies the side the encoder kept.
+                    d = top - l % top  # the boundary is l + d
+                    if off < d:
+                        w = d
                     else:
-                        l = boundary
+                        l, w, off = l + d, w - d, off - d
                 if w < floor:
                     raise AssertionError(f"width floor violated: {w} < {floor}")
                 append(s)
         finally:
-            st.l, st.r, st.pivot, st.pending = l, r, pivot, pending
-            self.g = g
+            st.l, st.r, st.pivot, st.pending = l, (l + w) % size, pivot, pending
+            self.g = l + off
             self._ahead = (buf, nb)
             reader.consumed = c
         return out

@@ -717,12 +717,25 @@ class TestGammaRun:
     def test_huffman_book_not_complete_rejected(
         self, tmp_path, capsys, lengths, message
     ):
-        # HuffmanModel's own checks reject the table: the CLI adds none.
+        # HuffmanModel's own checks reject the table: the CLI adds none,
+        # and reports it as a header fault, not a stream fault.
         blob = fixed_header("huffman", 3) + _write_run([n + 1 for n in lengths] + [1])
         packed = tmp_path / "packed.padc"
         packed.write_bytes(blob)
         assert main(["decode", str(packed), str(tmp_path / "out")]) == 3
-        assert f"padc: corrupt stream: {message}" in capsys.readouterr().err
+        assert f"padc: bad container: {message}" in capsys.readouterr().err
+
+    def test_adaptive_header_beyond_the_grid_cap_is_a_bad_container(
+        self, tmp_path, capsys
+    ):
+        # 256 symbols plus the end marker need P**(N-2) >= 257: at N=8 the
+        # cap is 64, and AdaptiveModel refuses the header's alphabet.
+        packed = tmp_path / "packed.padc"
+        packed.write_bytes(fixed_header("adaptive", 256, N=8) + _write_run([1]))
+        assert main(["decode", str(packed), str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("padc: bad container: alphabet of 256 symbols (+EOM)")
+        assert "exceeds grid cap 64" in err
 
     @pytest.mark.parametrize(
         "kind, S, values, match",

@@ -310,30 +310,91 @@ def test_straddle_exit_is_a_shared_first_digit(p, n):
 @given(
     grid=hst.sampled_from([(2, 6), (2, 16), (2, 31), (3, 5), (3, 12), (5, 4), (7, 4)]),
     kind=hst.sampled_from(["static", "adaptive", "unary"]),
+    ar=hst.booleans(),
     seed=hst.integers(0, 2**32),
     raw=hst.lists(hst.integers(0, 255), max_size=120),
     run=hst.integers(0, 40),
 )
-def test_reads_stay_within_the_budget_and_pending_folds(grid, kind, seed, raw, run):
+def test_reads_stay_within_the_budget_and_pending_folds(grid, kind, ar, seed, raw, run):
     # The decoder checks its read budget only at prefix shifts.  That is
     # enough because c - pending <= declared_count + N holds at every
     # symbol boundary of any stream: each fold reads one digit and adds
-    # one to pending.  Long runs of one digit drive the folds.
+    # one to pending.  Long runs of one digit drive the folds.  The window
+    # stays inside the interval at every boundary too, which is why
+    # Decoder.run checks it only on entry: a cell holds the offset, every
+    # shift or fold scales offset and width alike, owed digits fill only
+    # the zeros a shift or fold made, and the valve keeps the window's side.
     params = GridParams(*grid)
-    p = params.P
+    p, size = params.P, params.size
     digits = bytes(d % p for d in raw) + bytes([p - 1]) * run
-    make_model, _ = trial(random.Random(seed), kind, params, 0, True)
+    make_model, _ = trial(random.Random(seed), kind, params, 0, ar)
     reader = DigitReader.from_digits(params, digits)
-    dec = Decoder(reader, make_model())
+    dec = Decoder(reader, make_model(), ar=ar)
     budget = reader.declared_count + params.N
     for _ in range(3000):
         try:
             dec.run(limit=1)
         except MalformedStreamError:
             break
+        finally:
+            st = dec.state
+            assert (dec.g - st.l) % size < interval_width(st.l, st.r, params)
         assert reader.consumed - dec.state.pending <= budget
         if dec.finished:
             break
+
+
+class RingEndModel:
+    """Cells [0, 1) for the end marker 0, [1, h) and [h, w) for symbols 1
+    and 2, with h = w // 2 - 1.  From the full interval symbol 2 leaves
+    the left edge just below the middle and the right edge at P**N."""
+
+    eom = 0
+
+    def __init__(self, params):
+        self.params = params
+
+    def validate_for_coding(self):
+        pass
+
+    def code(self, symbol, w):
+        cuts = [0, 1, w // 2 - 1, w]
+        return cuts[symbol], cuts[symbol + 1]
+
+    def decode(self, off, w):
+        cuts = [0, 1, w // 2 - 1, w]
+        s = bisect_right(cuts, off) - 1
+        return cuts[s], cuts[s + 1], s
+
+
+@pytest.mark.parametrize("p,n", [(2, 8), (2, 31), (3, 6), (5, 4)])
+def test_a_right_edge_at_the_ring_end_straddles_nothing(p, n):
+    # r = 0 stands for P**N: an interval [l, P**N) with l below the top
+    # point holds the whole upper part of the ring and must not fold.  At
+    # P=2 the fused loops need an explicit bound for it; at P>2 the edges
+    # of such an interval share no first digit yet cannot be folded.
+    params = GridParams(p, n)
+    top = params.powers[n - 1]
+    rng = random.Random(f"ring-end-{p}-{n}")
+    msg = [2] * 50 + [rng.choice([1, 2]) for _ in range(200)]
+    ref = ReferenceEncoder(RingEndModel(params), True)
+    enc = Encoder(RingEndModel(params))
+    digits, boundaries = [], []
+    for s in msg:
+        want = ref.step(s)
+        assert enc.step(s) == bytes(want)
+        assert enc.state.as_tuple() == ref.state.as_tuple()
+        digits += want
+        boundaries.append(ref.state.as_tuple())
+    # A run of symbol 2 keeps the right edge at the ring end.
+    assert boundaries[0] == (params.size // 2 - 1, 0, 0, 0)
+    assert all(r == 0 and l // top < p - 1 for l, r, _, _ in boundaries[:50])
+    digits += enc.finish()
+    dec = Decoder(DigitReader.from_digits(params, digits), RingEndModel(params))
+    for s, state in zip(msg, boundaries):
+        assert dec.next_symbol() == s
+        assert dec.state.as_tuple() == state
+    assert dec.next_symbol() == RingEndModel.eom
 
 
 class ReferenceDecoder:
