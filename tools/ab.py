@@ -1,17 +1,18 @@
 """In-process A/B timing of two checkouts' padc, with an A/A control.
 
-    python3 tools/ab.py PARENT CHANGE [--rounds 40] [--seed 0]
-        [--workload NAME ...]
+    python3 tools/ab.py PARENT CHANGE [--seed 0]
 
 One process imports PARENT's and CHANGE's src/padc under distinct
 package names, and PARENT's a second time as the A/A arm.  For each
-workload of perfbench/harness.py's WORKLOADS table (read from CHANGE;
-default: every one) it builds the seeded 32 KiB perfbench corpus and,
-for each round, times one `padc encode` and one `padc decode` CLI call
-per arm, in process, through each arm's cli.main.  The arm order reverses on
-every call slot, so no arm always runs first.  The containers of all
-arms must be byte-identical and decode to the corpus: the tool exits 1
-without a report as soon as one differs.
+workload of perfbench/harness.py's WORKLOADS table (read from CHANGE)
+it builds the seeded 32 KiB perfbench corpus and, for each of 40
+rounds, times one `padc encode` and one `padc decode` CLI call per arm,
+in process, through each arm's cli.main.  The rounds cycle through the
+six orders of the three arms, the same order in both directions of a
+round, so every arm runs in every position, and before and after each
+other arm, about equally often.  The containers of all arms must be
+byte-identical and decode to the corpus: the tool exits 1 without a
+report as soon as one differs.
 
 Per workload and direction it prints the speed ratio change/parent
 (parent seconds over change seconds) as median [quartiles] with the
@@ -31,21 +32,17 @@ import ast
 import contextlib
 import importlib.util
 import io
-import statistics
+import itertools
 import sys
 import tempfile
 import time
 from pathlib import Path
 
+from pairs import quartiles
+
 ARMS = ("parent", "change", "aa")
 CORPUS_BYTES = 32 * 1024  # perfbench's corpus size
-
-
-def quartiles(values):
-    """(q1, median, q3) of values; the quartiles of one value are itself."""
-    if len(values) < 2:
-        return (values[0],) * 3
-    return tuple(statistics.quantiles(values, n=4))
+ROUNDS = 40
 
 
 def verdict(ratios, aa_ratios):
@@ -106,18 +103,16 @@ def _timed(cli, argv):
     return elapsed
 
 
-def measure(clis, data, flags, rounds, workdir):
+def measure(clis, data, flags, workdir, rounds=ROUNDS):
     """{direction: {arm: [seconds per round]}} of encoding and decoding
     data with each arm's cli; raises SystemExit when the containers or
     the decoded bytes differ between arms."""
     src = workdir / "input.bin"
     src.write_bytes(data)
     times = {d: {arm: [] for arm in clis} for d in ("encode", "decode")}
-    slot = 0
-    for _ in range(rounds):
+    orders = itertools.cycle(itertools.permutations(clis))
+    for order in itertools.islice(orders, rounds):
         for direction in ("encode", "decode"):
-            order = list(clis) if slot % 2 == 0 else list(clis)[::-1]
-            slot += 1
             for arm in order:
                 blob, out = workdir / f"{arm}.padc", workdir / f"{arm}.out"
                 argv = ["encode", *flags, str(src), str(blob)]
@@ -152,19 +147,16 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--rounds", type=int, default=40)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workload", action="append")
     args = parser.parse_args(argv)
     roots = {"parent": args.parent, "change": args.change, "aa": args.parent}
     clis = {arm: load_cli(roots[arm] / "src" / "padc", f"_ab_{arm}") for arm in ARMS}
     workloads = load_workloads(args.change)
-    print(f"seed {args.seed}, {CORPUS_BYTES} bytes, {args.rounds} rounds, speed ratios")
+    print(f"seed {args.seed}, {CORPUS_BYTES} bytes, {ROUNDS} rounds, speed ratios")
     with tempfile.TemporaryDirectory() as tmp:
-        for name in args.workload or workloads:
-            make, flags = workloads[name]
+        for name, (make, flags) in workloads.items():
             data = make(args.seed, CORPUS_BYTES)
-            times = measure(clis, data, flags, args.rounds, Path(tmp))
+            times = measure(clis, data, flags, Path(tmp))
             print("\n".join(report(name, times)), flush=True)
     return 0
 
